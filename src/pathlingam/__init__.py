@@ -10,178 +10,3 @@ benchmark driver.
 """
 
 __version__ = "0.1.0"
-
-from .adjacency import WeightedDag, estimate_adjacency, lasso_coordinate_descent
-from .bench import BenchCell, BenchConfig, Method, paired_t_test, run_benchmark
-from .errors import (
-    CyclicPrior,
-    DegenerateCorrelation,
-    DegenerateDistribution,
-    DegeneratePairs,
-    EmptyTrainingSet,
-    GenerationFailed,
-    InvalidK,
-    LengthMismatch,
-    OverlappingTiers,
-    PathLingamError,
-    PriorUnsatisfiable,
-    SingleClass,
-    SingularDesign,
-    TooManyFeatures,
-    ZeroVariance,
-    ZeroVarianceColumn,
-)
-from .measures import (
-    KRule,
-    MeasureConfig,
-    MeasureKind,
-    PlrMatrix,
-    approx_entropy,
-    digamma,
-    k_from_rule,
-    knn_mi,
-    knn_step_cost,
-    plr,
-    plr_costs,
-    plr_matrix,
-    plr_step_cost,
-    residual,
-)
-from .metrics import (
-    EdgeReport,
-    OrderingError,
-    edge_report,
-    ordering_error,
-    tiers_to_forbidden,
-)
-from .model import (
-    CausalOrder,
-    Dataset,
-    EdgeConstraints,
-    GroundTruth,
-    PriorKnowledge,
-    SearchState,
-    bits_of,
-    expand_prior,
-    standardize,
-    standardize_values,
-)
-from .pathdist import (
-    MomentFeatures,
-    PathDistribution,
-    PathMode,
-    enumerate_paths,
-    moment_features,
-    sample_paths,
-)
-from .predict import (
-    BINARY_TARGETS,
-    LabeledFeatures,
-    PredictTarget,
-    RocSummary,
-    build_training_set,
-    default_k,
-    knn_classify,
-    knn_regress,
-    roc_summary,
-)
-from .search import (
-    Lattice,
-    SearchResult,
-    direct_lingam_order,
-    is_state_allowed,
-    residualize,
-    shortest_path_order,
-)
-from .simgen import GenParams, generate, sample_benchmark_params
-from .util import (
-    read_matrix_csv,
-    stable_seed,
-    write_json_atomic,
-    write_matrix_csv,
-)
-
-__all__ = [
-    "__version__",
-    "BINARY_TARGETS",
-    "BenchCell",
-    "BenchConfig",
-    "CausalOrder",
-    "CyclicPrior",
-    "Dataset",
-    "DegenerateCorrelation",
-    "DegenerateDistribution",
-    "DegeneratePairs",
-    "EdgeConstraints",
-    "EdgeReport",
-    "EmptyTrainingSet",
-    "GenParams",
-    "GenerationFailed",
-    "GroundTruth",
-    "InvalidK",
-    "KRule",
-    "LabeledFeatures",
-    "Lattice",
-    "LengthMismatch",
-    "MeasureConfig",
-    "MeasureKind",
-    "Method",
-    "MomentFeatures",
-    "OrderingError",
-    "OverlappingTiers",
-    "PathDistribution",
-    "PathLingamError",
-    "PathMode",
-    "PlrMatrix",
-    "PredictTarget",
-    "PriorKnowledge",
-    "PriorUnsatisfiable",
-    "RocSummary",
-    "SearchResult",
-    "SearchState",
-    "SingleClass",
-    "SingularDesign",
-    "TooManyFeatures",
-    "WeightedDag",
-    "ZeroVariance",
-    "ZeroVarianceColumn",
-    "approx_entropy",
-    "bits_of",
-    "build_training_set",
-    "default_k",
-    "digamma",
-    "direct_lingam_order",
-    "edge_report",
-    "enumerate_paths",
-    "estimate_adjacency",
-    "expand_prior",
-    "generate",
-    "is_state_allowed",
-    "k_from_rule",
-    "knn_classify",
-    "knn_mi",
-    "knn_regress",
-    "knn_step_cost",
-    "lasso_coordinate_descent",
-    "moment_features",
-    "ordering_error",
-    "paired_t_test",
-    "plr",
-    "plr_costs",
-    "plr_matrix",
-    "plr_step_cost",
-    "read_matrix_csv",
-    "residual",
-    "residualize",
-    "roc_summary",
-    "run_benchmark",
-    "sample_benchmark_params",
-    "sample_paths",
-    "shortest_path_order",
-    "stable_seed",
-    "standardize",
-    "standardize_values",
-    "tiers_to_forbidden",
-    "write_json_atomic",
-    "write_matrix_csv",
-]

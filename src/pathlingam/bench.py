@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import stats
 
-from .errors import DegeneratePairs, LengthMismatch
 from .measures import MeasureConfig, MeasureKind
 from .metrics import ordering_error
 from .model import expand_prior
@@ -231,26 +229,3 @@ def _aggregate(good, failed, method, p, n, confounded, frac):
         )
     return cell
 
-
-def paired_t_test(a, b):
-    """Two-sided paired t-test; returns (t statistic, p-value).
-
-    Identical samples give (0, 1) by convention. Constant nonzero
-    differences have no within-pair variance to test against and raise
-    DegeneratePairs.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise LengthMismatch("paired test needs two equal-length vectors")
-    if a.size < 2:
-        raise ValueError("need at least 2 pairs")
-    diff = a - b
-    sd = diff.std(ddof=1)
-    if sd == 0.0:
-        if diff[0] == 0.0:
-            return 0.0, 1.0
-        raise DegeneratePairs("differences are a nonzero constant")
-    t = float(diff.mean() / (sd / math.sqrt(diff.size)))
-    p = float(2.0 * stats.t.sf(abs(t), diff.size - 1))
-    return t, p

@@ -31,12 +31,10 @@ from .errors import (
     CyclicPrior,
     DegenerateCorrelation,
     DegenerateDistribution,
-    DegeneratePairs,
     EmptyTrainingSet,
     GenerationFailed,
     InvalidK,
     LengthMismatch,
-    OverlappingTiers,
     PriorUnsatisfiable,
     SingleClass,
     SingularDesign,
@@ -677,7 +675,6 @@ def main(argv=None):
         ZeroVariance,
         DegenerateCorrelation,
         DegenerateDistribution,
-        DegeneratePairs,
         GenerationFailed,
         SingleClass,
         SingularDesign,
@@ -689,7 +686,6 @@ def main(argv=None):
         OSError,
         KeyError,
         LengthMismatch,
-        OverlappingTiers,
         InvalidK,
         EmptyTrainingSet,
     ) as error:

@@ -50,10 +50,6 @@ class LengthMismatch(PathLingamError):
     """Two sequences that must have equal length do not."""
 
 
-class OverlappingTiers(PathLingamError):
-    """Tier groups share an index."""
-
-
 class TooManyFeatures(PathLingamError):
     """Feature count exceeds an explicit enumeration cap."""
 
@@ -69,6 +65,3 @@ class EmptyTrainingSet(PathLingamError):
 class SingleClass(PathLingamError):
     """ROC evaluation needs both labels present."""
 
-
-class DegeneratePairs(PathLingamError):
-    """Paired test differences are constant and nonzero."""

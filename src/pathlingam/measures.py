@@ -6,7 +6,8 @@ entropy approximation of differential entropy. The comparison measure is the
 Kraskov k-nearest-neighbor mutual information estimator, extended so one
 variable can be scored against a whole block of residuals.
 
-Both operate on a SearchState's residual columns and are pure functions.
+Both operate on an N x m array of residual columns, one column per
+remaining feature, and are pure functions.
 """
 
 import math
@@ -15,6 +16,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.special import digamma
 
 from .errors import DegenerateCorrelation, InvalidK, ZeroVariance
 
@@ -49,24 +51,6 @@ class MeasureConfig:
     k_rule: KRule = KRule.SQRT_N
 
 
-@dataclass(frozen=True)
-class PlrMatrix:
-    """Antisymmetric matrix of likelihood ratios between current candidates.
-
-    entries[i][j] > 0 reads as evidence that candidate i causes candidate j.
-    """
-
-    entries: np.ndarray
-    m: int
-
-    def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
-        entries.setflags(write=False)
-        if entries.shape != (self.m, self.m):
-            raise ValueError("entries must be m x m")
-        object.__setattr__(self, "entries", entries)
-
-
 def k_from_rule(rule, n_samples):
     """Neighbor count for a sample size, using exact integer arithmetic.
 
@@ -82,45 +66,6 @@ def k_from_rule(rule, n_samples):
         root = math.isqrt(n)
         return root if root * root == n else root + 1
     raise ValueError(f"unknown k rule {rule!r}")
-
-
-def digamma(x):
-    """Digamma by upward recurrence to argument >= 6, then the asymptotic
-    series through the x**-14 term (absolute error below 1e-12 on x > 0).
-
-    Accepts scalars or arrays of positive reals.
-    """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).copy()
-    if np.any(arr <= 0.0):
-        raise ValueError("digamma requires positive arguments")
-    acc = np.zeros_like(arr)
-    small = arr < 6.0
-    while small.any():
-        acc[small] -= 1.0 / arr[small]
-        arr[small] += 1.0
-        small = arr < 6.0
-    u = 1.0 / (arr * arr)
-    # Bernoulli-number series: psi(x) ~ ln x - 1/(2x) - sum B_2n/(2n x^2n).
-    tail = u * (
-        1.0 / 12.0
-        - u * (
-            1.0 / 120.0
-            - u * (
-                1.0 / 252.0
-                - u * (
-                    1.0 / 240.0
-                    - u * (
-                        1.0 / 132.0
-                        - u * (691.0 / 32760.0 - u * (1.0 / 12.0))
-                    )
-                )
-            )
-        )
-    )
-    result = np.log(arr) - 0.5 / arr - tail + acc
-    return float(result[0]) if scalar else result
 
 
 def _log_cosh(u):
@@ -197,6 +142,7 @@ def _column_entropies(z):
 def plr_matrix(columns):
     """Likelihood-ratio matrix over a set of candidate columns.
 
+    Entry [i, j] > 0 reads as evidence that candidate i causes candidate j.
     Writing h_i for the entropy of standardized column i and E_ij for the
     entropy of the standardized residual of column i on column j, the ratio
     is R_ij = (h_j - h_i) + (E_ij - E_ji), which is antisymmetric with an
@@ -225,29 +171,20 @@ def plr_matrix(columns):
         if np.any(sd == 0.0):
             raise DegenerateCorrelation("residual has zero scale")
         e[:, j] = _column_entropies(d / sd)
-    entries = (h[None, :] - h[:, None]) + (e - e.T)
-    return PlrMatrix(entries=entries, m=m)
+    return (h[None, :] - h[:, None]) + (e - e.T)
 
 
-def plr_costs(state):
-    """Step cost of every candidate at a state, by residual-column position.
+def plr_costs(columns):
+    """Step cost of every candidate, by residual-column position.
 
     The cost of candidate i is the mean over the other candidates j of
     min(0, R_ij)^2: zero exactly when every pairwise ratio says i is an
     upstream variable. Smaller is more independent, so these are usable as
     shortest-path edge weights directly.
     """
-    m = state.remaining.bit_count()
-    if m < 2:
-        raise ValueError("plr costs need at least 2 remaining features")
-    entries = plr_matrix(state.residuals).entries
+    entries = plr_matrix(columns)
     neg = np.minimum(entries, 0.0)
-    return (neg * neg).sum(axis=1) / (m - 1)
-
-
-def plr_step_cost(candidate, state):
-    """Likelihood-ratio step cost of choosing ``candidate`` at ``state``."""
-    return float(plr_costs(state)[state.position(candidate)])
+    return (neg * neg).sum(axis=1) / (entries.shape[0] - 1)
 
 
 def knn_mi(x_block, y, k):
@@ -284,19 +221,19 @@ def knn_mi(x_block, y, k):
     return float(digamma(k) - mean_psi + digamma(n))
 
 
-def knn_step_cost(candidate, state, config):
+def knn_step_cost(columns, pos, config):
     """kNN-MI step cost: dependence of the candidate on what remains.
 
-    Computes I(candidate column; residuals of the other remaining columns
-    after regressing out the candidate), clamped below at 0 so Dijkstra sees
+    Computes I(column ``pos``; residuals of the other columns after
+    regressing out column ``pos``), clamped below at 0 so Dijkstra sees
     nonnegative weights. The last remaining feature costs 0 by definition.
     """
-    m = state.remaining.bit_count()
+    m = columns.shape[1]
     if m == 1:
         return 0.0
-    pos = state.position(candidate)
-    xc = state.residuals[:, pos]
-    others = np.delete(state.residuals, pos, axis=1)
-    block = np.column_stack([residual(others[:, i], xc) for i in range(m - 1)])
+    xc = columns[:, pos]
+    block = np.column_stack(
+        [residual(columns[:, i], xc) for i in range(m) if i != pos]
+    )
     k = k_from_rule(config.k_rule, xc.size)
     return max(0.0, knn_mi(block, xc, k))

@@ -1,9 +1,8 @@
-"""Evaluation of orderings and estimated graphs against ground truth."""
+"""Evaluation of estimated orderings against ground truth."""
 
 from dataclasses import dataclass
 
-from .errors import LengthMismatch, OverlappingTiers
-from .model import EdgeConstraints
+from .errors import LengthMismatch
 
 
 @dataclass(frozen=True)
@@ -17,22 +16,6 @@ class OrderingError:
     def __post_init__(self):
         if not 0.0 <= self.e_o <= 1.0:
             raise ValueError("e_o must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class EdgeReport:
-    """How many required and forbidden edges an estimated graph contains."""
-
-    required_captured: int
-    required_total: int
-    forbidden_captured: int
-    forbidden_total: int
-
-    def __post_init__(self):
-        if self.required_captured > self.required_total:
-            raise ValueError("captured required edges exceed the total")
-        if self.forbidden_captured > self.forbidden_total:
-            raise ValueError("captured forbidden edges exceed the total")
 
 
 def ordering_error(estimated, truth):
@@ -63,34 +46,3 @@ def ordering_error(estimated, truth):
         e_o=(2 * wrong) / (p * (p - 1)), wrong_pairs=wrong, total_pairs=total
     )
 
-
-def edge_report(dag, constraints):
-    """Count which required and forbidden edges the estimated graph captures."""
-    edges = set(dag.edges)
-    return EdgeReport(
-        required_captured=len(edges & constraints.required),
-        required_total=len(constraints.required),
-        forbidden_captured=len(edges & constraints.forbidden),
-        forbidden_total=len(constraints.forbidden),
-    )
-
-
-def tiers_to_forbidden(tiers):
-    """Convert ordered tiers into forbidden edges: later cannot cause earlier.
-
-    Within-tier pairs stay unconstrained.
-    """
-    groups = [tuple(int(i) for i in group) for group in tiers]
-    seen = set()
-    for group in groups:
-        for index in group:
-            if index in seen:
-                raise OverlappingTiers(f"index {index} appears in two tiers")
-            seen.add(index)
-    forbidden = set()
-    for earlier_at in range(len(groups)):
-        for later_at in range(earlier_at + 1, len(groups)):
-            for later in groups[later_at]:
-                for earlier in groups[earlier_at]:
-                    forbidden.add((later, earlier))
-    return EdgeConstraints(required=frozenset(), forbidden=frozenset(forbidden))

@@ -24,18 +24,6 @@ def _freeze(array):
     return array
 
 
-def bits_of(mask):
-    """Indices of the set bits of a bitset, ascending."""
-    out = []
-    index = 0
-    while mask:
-        if mask & 1:
-            out.append(index)
-        mask >>= 1
-        index += 1
-    return out
-
-
 @dataclass(frozen=True)
 class Dataset:
     """An N x p observation matrix with column names.
@@ -101,45 +89,6 @@ class CausalOrder:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "step_costs", costs)
         object.__setattr__(self, "total_cost", float(self.total_cost))
-
-
-@dataclass(frozen=True)
-class SearchState:
-    """A node of the ordering lattice: remaining features plus their residuals.
-
-    ``remaining`` is a bitset over feature indices. ``residuals`` holds one
-    column per remaining feature, ordered by ascending feature index. At the
-    root the residuals are the standardized data columns.
-    """
-
-    remaining: int
-    residuals: np.ndarray
-    cost_from_start: float = 0.0
-
-    def __post_init__(self):
-        residuals = _freeze(self.residuals)
-        if residuals.ndim != 2:
-            raise ValueError("residuals must be a 2-D matrix")
-        remaining = int(self.remaining)
-        if remaining < 0:
-            raise ValueError("remaining bitset must be nonnegative")
-        if remaining.bit_count() != residuals.shape[1]:
-            raise ValueError("residual column count must equal popcount(remaining)")
-        if self.cost_from_start < 0:
-            raise ValueError("cost_from_start must be nonnegative")
-        object.__setattr__(self, "remaining", remaining)
-        object.__setattr__(self, "residuals", residuals)
-
-    def features(self):
-        """Remaining feature indices, ascending (the residual column order)."""
-        return bits_of(self.remaining)
-
-    def position(self, feature):
-        """Residual column holding ``feature``."""
-        bit = 1 << int(feature)
-        if not self.remaining & bit:
-            raise ValueError(f"feature {feature} is not in the remaining set")
-        return (self.remaining & (bit - 1)).bit_count()
 
 
 @dataclass(frozen=True)
@@ -239,22 +188,6 @@ class PriorKnowledge:
 
     def max_index(self):
         return max((max(a, b) for a, b in self.pairs), default=-1)
-
-
-@dataclass(frozen=True)
-class EdgeConstraints:
-    """Required and forbidden directed edges (cause, effect)."""
-
-    required: frozenset = field(default_factory=frozenset)
-    forbidden: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        required = frozenset((int(a), int(b)) for a, b in self.required)
-        forbidden = frozenset((int(a), int(b)) for a, b in self.forbidden)
-        if required & forbidden:
-            raise ValueError("required and forbidden edge sets overlap")
-        object.__setattr__(self, "required", required)
-        object.__setattr__(self, "forbidden", forbidden)
 
 
 def standardize_values(values):

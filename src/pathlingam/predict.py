@@ -14,10 +14,16 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyTrainingSet, SingleClass
+from .errors import EmptyTrainingSet, SingleClass, TooManyFeatures
 from .measures import MeasureConfig
 from .metrics import ordering_error
-from .pathdist import PathMode, enumerate_paths, moment_features, sample_paths
+from .pathdist import (
+    ENUMERATION_CAP,
+    PathMode,
+    enumerate_paths,
+    moment_features,
+    sample_paths,
+)
 from .search import direct_lingam_order, shortest_path_order
 from .simgen import generate, sample_benchmark_params
 from .util import stable_seed
@@ -195,7 +201,7 @@ def build_training_set(
     path_mode=PathMode.EXHAUSTIVE,
     n_samples=1000,
     path_samples=1000,
-    max_features=None,
+    max_features=ENUMERATION_CAP,
 ):
     """Generate labeled moment-feature rows across a grid of feature counts.
 
@@ -203,10 +209,17 @@ def build_training_set(
     trials on average), generates a dataset, computes the moment features of
     its path distribution (exhaustive or sampled), and attaches the target
     label. Trials that fail numerically are skipped and logged. Rows carry
-    meta keys "p", "seed" and "target".
+    meta keys "p", "seed" and "target". Exhaustive mode checks every p
+    against ``max_features`` before the first trial and raises
+    TooManyFeatures if one exceeds it.
     """
     config = config if config is not None else MeasureConfig()
     target = PredictTarget(target)
+    largest = max((int(p) for p in p_values), default=0)
+    if path_mode is PathMode.EXHAUSTIVE and largest > max_features:
+        raise TooManyFeatures(
+            f"p={largest} exceeds the enumeration cap {max_features}"
+        )
     rows = []
     for p in p_values:
         for trial in range(int(trials_per_p)):
@@ -219,10 +232,7 @@ def build_training_set(
             try:
                 data, truth = generate(params)
                 if path_mode is PathMode.EXHAUSTIVE:
-                    cap = max_features if max_features is not None else max(
-                        8, int(p)
-                    )
-                    dist = enumerate_paths(data, config, max_features=cap)
+                    dist = enumerate_paths(data, config, max_features=max_features)
                 else:
                     dist = sample_paths(
                         data, config, path_samples, int(rng.integers(0, 2**63))

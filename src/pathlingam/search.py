@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import PriorUnsatisfiable, ZeroVariance
 from .measures import MeasureConfig, MeasureKind, knn_step_cost, plr_costs, residual
-from .model import CausalOrder, PriorKnowledge, SearchState, standardize_values
+from .model import CausalOrder, PriorKnowledge, standardize_values
 
 
 @dataclass(frozen=True)
@@ -31,44 +31,24 @@ class SearchResult:
     wall_time: float
 
 
-def is_state_allowed(remaining, prior):
-    """Whether a lattice state is consistent with the prior orderings.
-
-    A state is disallowed iff some pair (a, b) has a still remaining while b
-    was already chosen: that would place b before a. The full and empty sets
-    are always allowed.
-    """
-    if prior is None:
-        return True
-    remaining = int(remaining)
-    for a, b in prior.pairs:
-        if remaining & (1 << a) and not remaining & (1 << b):
-            return False
-    return True
-
-
-def residualize(state, chosen):
-    """Remove ``chosen`` from a state, regressing it out of every column.
+def residualize(columns, pos):
+    """Drop column ``pos``, regressing it out of every other column.
 
     This is the single lattice transition: each remaining column is replaced
     by its least-squares residual on the chosen column.
     """
-    pos = state.position(chosen)
-    chosen_col = state.residuals[:, pos]
-    if chosen_col.std() == 0.0:
-        raise ZeroVariance(f"column for feature {chosen} is constant at this state")
-    kept = [i for i in range(state.residuals.shape[1]) if i != pos]
-    if kept:
-        columns = np.column_stack(
-            [residual(state.residuals[:, i], chosen_col) for i in kept]
-        )
-    else:
-        columns = np.empty((state.residuals.shape[0], 0))
-    return SearchState(
-        remaining=state.remaining & ~(1 << int(chosen)),
-        residuals=columns,
-        cost_from_start=state.cost_from_start,
-    )
+    chosen = columns[:, pos]
+    if chosen.std() == 0.0:
+        raise ZeroVariance(f"residual column {pos} is constant at this state")
+    kept = [
+        residual(columns[:, i], chosen) for i in range(columns.shape[1]) if i != pos
+    ]
+    return np.column_stack(kept) if kept else np.empty((columns.shape[0], 0))
+
+
+def _position(mask, feature):
+    # Residual columns are ordered by ascending feature index.
+    return (mask & ((1 << feature) - 1)).bit_count()
 
 
 class Lattice:
@@ -93,7 +73,9 @@ class Lattice:
         if self.prior and self.prior.max_index() >= self.p:
             raise ValueError("prior references a feature index outside the data")
         self.full = (1 << self.p) - 1
-        self._columns = {self.full: standardize_values(data.values)}
+        root = standardize_values(data.values)
+        root.setflags(write=False)
+        self._columns = {self.full: root}
         self._costs = {}
         # blockers[f]: bitset of features that must precede f.
         self.blockers = [0] * self.p
@@ -107,9 +89,9 @@ class Lattice:
             return cached
         removed = self.full & ~mask
         last = removed.bit_length() - 1  # canonical: peel the highest index
-        parent = mask | (1 << last)
-        state = SearchState(remaining=parent, residuals=self.columns(parent))
-        columns = residualize(state, last).residuals
+        parent = self.columns(mask | (1 << last))
+        columns = residualize(parent, _position(mask, last))
+        columns.setflags(write=False)
         self._columns[mask] = columns
         return columns
 
@@ -122,7 +104,7 @@ class Lattice:
                 out.append(f)
         return out
 
-    def costs_at(self, mask, cost_from_start=0.0):
+    def costs_at(self, mask):
         """Step cost of each allowed candidate at a state with >= 2 features.
 
         Returns a dict feature -> cost; memoized, so repeated visits do not
@@ -132,19 +114,15 @@ class Lattice:
         if cached is not None:
             return cached
         allowed = self.allowed_candidates(mask)
-        state = SearchState(
-            remaining=mask,
-            residuals=self.columns(mask),
-            cost_from_start=cost_from_start,
-        )
-        costs = {}
+        columns = self.columns(mask)
         if self.config.kind is MeasureKind.PLR:
-            by_position = plr_costs(state)
-            for f in allowed:
-                costs[f] = float(by_position[state.position(f)])
+            by_position = plr_costs(columns)
+            costs = {f: float(by_position[_position(mask, f)]) for f in allowed}
         else:
-            for f in allowed:
-                costs[f] = knn_step_cost(f, state, self.config)
+            costs = {
+                f: knn_step_cost(columns, _position(mask, f), self.config)
+                for f in allowed
+            }
         self.edges_evaluated += len(allowed)
         self._costs[mask] = costs
         return costs
@@ -200,7 +178,7 @@ def shortest_path_order(data, config=None, prior=None):
             # Goal edge: weight exactly 0, no measure evaluation.
             successors = [(mask.bit_length() - 1, 0.0)]
         else:
-            successors = sorted(lattice.costs_at(mask, cost).items())
+            successors = sorted(lattice.costs_at(mask).items())
         for feature, weight in successors:
             child = mask & ~(1 << feature)
             new_cost = cost + weight
@@ -229,7 +207,7 @@ def direct_lingam_order(data, config=None, prior=None):
             order.append(mask.bit_length() - 1)
             step_costs.append(0.0)
             break
-        costs = lattice.costs_at(mask, sum(step_costs))
+        costs = lattice.costs_at(mask)
         if not costs:
             raise PriorUnsatisfiable("no candidate is allowed by the prior")
         best = min(costs, key=lambda f: (costs[f], f))

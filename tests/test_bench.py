@@ -2,19 +2,16 @@
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from pathlingam.bench import (
     BenchCell,
     BenchConfig,
     Method,
-    paired_t_test,
     run_benchmark,
     run_trial,
     trial_prior,
     trial_seed,
 )
-from pathlingam.errors import DegeneratePairs, LengthMismatch
 from pathlingam.simgen import GenParams, generate
 
 
@@ -191,30 +188,3 @@ class TestRunBenchmark:
         assert cell.mean_eo == 0.0
         assert cell.prior_frac == 1.0
 
-
-class TestPairedTTest:
-    def test_matches_scipy(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=40)
-        b = a + rng.normal(0.3, 1.0, size=40)
-        t, p = paired_t_test(a, b)
-        oracle = stats.ttest_rel(a, b)
-        assert t == pytest.approx(oracle.statistic, abs=1e-12)
-        assert p == pytest.approx(oracle.pvalue, abs=1e-12)
-
-    def test_identical_samples(self):
-        a = np.array([0.1, 0.4, 0.3])
-        assert paired_t_test(a, a.copy()) == (0.0, 1.0)
-
-    def test_constant_nonzero_difference_rejected(self):
-        a = np.array([0.1, 0.4, 0.3])
-        with pytest.raises(DegeneratePairs):
-            paired_t_test(a, a + 0.5)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            paired_t_test([0.1, 0.2], [0.1, 0.2, 0.3])
-
-    def test_needs_two_pairs(self):
-        with pytest.raises(ValueError):
-            paired_t_test([0.1], [0.2])

@@ -6,6 +6,8 @@ files left behind are the observable contract.
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -303,6 +305,16 @@ class TestTrainPredictEval:
         }
         assert 0.0 <= roc["auc"] <= 1.0
 
+    def test_train_over_enumeration_cap_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "rows.jsonl"
+        code = main(
+            ["train", "--target", "confounder", "--p", "9",
+             "--trials-per-p", "1", "--out", str(out)]
+        )
+        assert code == 4
+        assert "enumeration cap" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_eval_continuous_target_exits_2(self, tmp_path, capsys):
         rows_path, model_path = self._train(
             tmp_path, target="sparsity_value", trials=6
@@ -421,3 +433,15 @@ class TestManifest:
             payload.pop("runtime_ms")
             results.append(payload)
         assert results[0] == results[1]
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs more start-up time than everything else the CLI loads.
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    probe = "import sys, pathlingam.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

@@ -1,17 +1,10 @@
-"""Ordering-error arithmetic and edge-constraint reports."""
+"""Ordering-error arithmetic."""
 
-import numpy as np
 import pytest
 
-from pathlingam.adjacency import WeightedDag
-from pathlingam.errors import LengthMismatch, OverlappingTiers
-from pathlingam.metrics import (
-    EdgeReport,
-    edge_report,
-    ordering_error,
-    tiers_to_forbidden,
-)
-from pathlingam.model import CausalOrder, EdgeConstraints
+from pathlingam.errors import LengthMismatch
+from pathlingam.metrics import ordering_error
+from pathlingam.model import CausalOrder
 
 
 class TestOrderingError:
@@ -51,48 +44,3 @@ class TestOrderingError:
         a, b = (3, 1, 0, 2), (0, 2, 3, 1)
         assert ordering_error(a, b).e_o == ordering_error(b, a).e_o
 
-
-class TestEdgeReport:
-    def _dag(self):
-        b_hat = np.zeros((3, 3))
-        b_hat[1, 0] = 0.8
-        b_hat[2, 0] = -0.5
-        return WeightedDag(b_hat=b_hat, edges=frozenset({(0, 1), (0, 2)}))
-
-    def test_counts(self):
-        constraints = EdgeConstraints(
-            required=frozenset({(0, 1), (1, 2)}),
-            forbidden=frozenset({(0, 2)}),
-        )
-        report = edge_report(self._dag(), constraints)
-        assert report.required_captured == 1
-        assert report.required_total == 2
-        assert report.forbidden_captured == 1
-        assert report.forbidden_total == 1
-
-    def test_empty_constraints(self):
-        report = edge_report(self._dag(), EdgeConstraints())
-        assert report == EdgeReport(0, 0, 0, 0)
-
-    def test_captured_cannot_exceed_total(self):
-        with pytest.raises(ValueError):
-            EdgeReport(2, 1, 0, 0)
-
-
-class TestTiersToForbidden:
-    def test_later_to_earlier_forbidden(self):
-        constraints = tiers_to_forbidden([(0, 1), (2,)])
-        assert constraints.required == frozenset()
-        assert constraints.forbidden == frozenset({(2, 0), (2, 1)})
-
-    def test_three_tiers_cross_products(self):
-        constraints = tiers_to_forbidden([(0,), (1,), (2,)])
-        assert constraints.forbidden == frozenset({(1, 0), (2, 0), (2, 1)})
-
-    def test_within_tier_unconstrained(self):
-        constraints = tiers_to_forbidden([(0, 1, 2)])
-        assert constraints.forbidden == frozenset()
-
-    def test_overlap_raises(self):
-        with pytest.raises(OverlappingTiers):
-            tiers_to_forbidden([(0, 1), (1, 2)])

@@ -7,21 +7,12 @@ from pathlingam.errors import CyclicPrior, ZeroVarianceColumn
 from pathlingam.model import (
     CausalOrder,
     Dataset,
-    EdgeConstraints,
     GroundTruth,
     PriorKnowledge,
-    SearchState,
-    bits_of,
     expand_prior,
     standardize,
     standardize_values,
 )
-
-
-def test_bits_of():
-    assert bits_of(0) == []
-    assert bits_of(0b1) == [0]
-    assert bits_of(0b1011) == [0, 1, 3]
 
 
 class TestDataset:
@@ -83,24 +74,6 @@ class TestCausalOrder:
     def test_rejects_cost_count_mismatch(self):
         with pytest.raises(ValueError, match="one step cost"):
             CausalOrder((0, 1), (0.0,), 0.0)
-
-
-class TestSearchState:
-    def test_position_skips_missing_bits(self):
-        state = SearchState(remaining=0b1101, residuals=np.ones((4, 3)))
-        assert state.features() == [0, 2, 3]
-        assert state.position(0) == 0
-        assert state.position(2) == 1
-        assert state.position(3) == 2
-
-    def test_position_rejects_absent_feature(self):
-        state = SearchState(remaining=0b101, residuals=np.ones((4, 2)))
-        with pytest.raises(ValueError, match="not in the remaining set"):
-            state.position(1)
-
-    def test_column_count_must_match_popcount(self):
-        with pytest.raises(ValueError, match="popcount"):
-            SearchState(remaining=0b111, residuals=np.ones((4, 2)))
 
 
 class TestGroundTruth:
@@ -202,7 +175,3 @@ class TestStandardize:
                        names=("u", "v"))
         assert standardize(data).names == ("u", "v")
 
-
-def test_edge_constraints_overlap_rejected():
-    with pytest.raises(ValueError, match="overlap"):
-        EdgeConstraints(frozenset({(0, 1)}), frozenset({(0, 1)}))

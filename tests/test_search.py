@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 from pathlingam.errors import ZeroVariance
-from pathlingam.measures import MeasureConfig, MeasureKind, plr
-from pathlingam.model import PriorKnowledge, SearchState, expand_prior
+from pathlingam.measures import MeasureConfig, MeasureKind, plr, plr_costs
+from pathlingam.model import PriorKnowledge, expand_prior
 from pathlingam.search import (
     Lattice,
     direct_lingam_order,
-    is_state_allowed,
     residualize,
     shortest_path_order,
 )
@@ -198,38 +197,38 @@ class TestPrior:
             shortest_path_order(data, prior=PriorKnowledge(frozenset({(0, 9)})))
 
 
-class TestIsStateAllowed:
+class TestAllowedCandidates:
     def test_blocks_effect_chosen_before_cause(self):
-        prior = PriorKnowledge(frozenset({(0, 2)}))
-        # feature 2 removed while 0 remains: disallowed
-        assert not is_state_allowed(0b011, prior)
-        assert is_state_allowed(0b110, prior)
-        assert is_state_allowed(0b111, prior)
-        assert is_state_allowed(0b000, prior)
+        data, _ = _dataset(44, p=3)
+        lattice = Lattice(data, prior=PriorKnowledge(frozenset({(0, 1)})))
+        # feature 1 becomes choosable only once feature 0 is gone
+        assert lattice.allowed_candidates(0b111) == [0, 2]
+        assert lattice.allowed_candidates(0b110) == [1, 2]
 
     def test_none_prior_allows_everything(self):
-        assert is_state_allowed(0b101, None)
+        data, _ = _dataset(45, p=3)
+        lattice = Lattice(data)
+        assert lattice.allowed_candidates(0b111) == [0, 1, 2]
+        assert lattice.allowed_candidates(0b101) == [0, 2]
 
 
 class TestResidualize:
     def test_removes_feature_and_decorrelates(self):
         rng = np.random.default_rng(50)
         columns = rng.standard_normal((200, 3))
-        state = SearchState(remaining=0b111, residuals=columns)
-        child = residualize(state, 1)
-        assert child.remaining == 0b101
-        assert child.residuals.shape == (200, 2)
+        child = residualize(columns, 1)
+        assert child.shape == (200, 2)
         chosen = columns[:, 1]
-        for i in range(2):
-            r = child.residuals[:, i]
+        for i, kept in enumerate((0, 2)):
+            r = child[:, i]
             cov = np.mean(r * chosen) - r.mean() * chosen.mean()
             assert cov == pytest.approx(0.0, abs=1e-12)
+            assert np.allclose(r, _regress_out(columns[:, kept], chosen), atol=1e-12)
 
     def test_constant_chosen_column_raises(self):
         columns = np.column_stack([np.ones(50), np.arange(50.0)])
-        state = SearchState(remaining=0b11, residuals=columns)
         with pytest.raises(ZeroVariance):
-            residualize(state, 0)
+            residualize(columns, 0)
 
 
 class TestLattice:
@@ -246,6 +245,25 @@ class TestLattice:
                     cols[f] = _regress_out(cols[f], chosen)
             fresh = np.column_stack([cols[0], cols[2]])
             assert np.allclose(cached, fresh, atol=1e-9)
+
+    def test_columns_has_one_column_per_remaining_feature(self):
+        data, _ = _dataset(63, p=4)
+        lattice = Lattice(data)
+        for mask in range(1, lattice.full + 1):
+            assert lattice.columns(mask).shape == (data.n_samples, mask.bit_count())
+
+    def test_costs_at_keys_by_feature_across_removed_bits(self):
+        data, _ = _dataset(64, p=4)
+        lattice = Lattice(data)
+        mask = 0b1101  # feature 1 removed: columns hold features 0, 2, 3
+        z = _standardize(data.values)
+        cols = {f: _regress_out(z[:, f], z[:, 1]) for f in (0, 2, 3)}
+        costs = lattice.costs_at(mask)
+        assert sorted(costs) == [0, 2, 3]
+        by_position = plr_costs(lattice.columns(mask))
+        for pos, feature in enumerate((0, 2, 3)):
+            assert costs[feature] == by_position[pos]
+            assert costs[feature] == pytest.approx(_step_cost(cols, feature), abs=1e-9)
 
     def test_costs_memoized_without_recounting(self):
         data, _ = _dataset(61, p=3)
