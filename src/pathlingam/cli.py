@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 invalid input, 3 infeasible prior knowledge,
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -58,6 +59,7 @@ from .predict import (
     LabeledFeatures,
     PredictTarget,
     build_training_set,
+    check_enumeration_cap,
     default_k,
     knn_classify,
     knn_regress,
@@ -129,7 +131,9 @@ REQUIRED = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="pathlingam",
         description=(
@@ -466,12 +470,15 @@ def cmd_train(values):
         "path_mode": _path_mode(values["path_mode"]),
         "n_samples": int(values["n_samples"]),
         "path_samples": int(values["path_samples"]),
+        "max_features": (
+            ENUMERATION_CAP if values["max_features"] is None
+            else int(values["max_features"])
+        ),
     }
-    if values["max_features"] is not None:
-        kwargs["max_features"] = int(values["max_features"])
     trials = int(values["trials_per_p"])
     seed = int(values["seed"])
     jobs = _jobs(values)
+    check_enumeration_cap(p_values, kwargs["path_mode"], kwargs["max_features"])
     if jobs > 1 and len(p_values) > 1:
         # Trial seeds depend only on (seed, target, p, index), so a per-p
         # split reproduces the sequential rows exactly.

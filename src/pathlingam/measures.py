@@ -7,7 +7,10 @@ Kraskov k-nearest-neighbor mutual information estimator, extended so one
 variable can be scored against a whole block of residuals.
 
 Both operate on an N x m array of residual columns, one column per
-remaining feature, and are pure functions.
+remaining feature, and are pure functions. The likelihood ratio's entropies
+all come from one blocked kernel, fed in two ways: pairwise residuals of
+one state (``plr_matrix``, for the search), or the columns of many lattice
+states at once (``state_entropies``, for a per-state entropy table).
 """
 
 import math
@@ -68,28 +71,6 @@ def k_from_rule(rule, n_samples):
     raise ValueError(f"unknown k rule {rule!r}")
 
 
-def _log_cosh(u):
-    # log(cosh(u)) = logaddexp(u, -u) - log 2; stable for large |u|.
-    return np.logaddexp(u, -u) - LOG2
-
-
-def approx_entropy(u):
-    """Maximum entropy approximation H_hat of a 1-D sample.
-
-    The input is standardized internally (population mean 0, variance 1).
-    The result never exceeds the Gaussian entropy H_GAUSS because both
-    correction terms are squared and subtracted.
-    """
-    u = np.asarray(u, dtype=float).ravel()
-    std = u.std()
-    if std == 0.0:
-        raise ZeroVariance("approx_entropy input is constant")
-    z = (u - u.mean()) / std
-    t1 = np.mean(_log_cosh(z)) - GAMMA
-    t2 = np.mean(z * np.exp(-0.5 * z * z))
-    return float(H_GAUSS - K1 * t1 * t1 - K2 * t2 * t2)
-
-
 def residual(xi, xj):
     """Least-squares residual of xi regressed on xj (population moments)."""
     xi = np.asarray(xi, dtype=float)
@@ -104,49 +85,149 @@ def residual(xi, xj):
     return xi - (cov / var) * xj
 
 
-def plr(x, y):
-    """Pairwise likelihood ratio between the directions x -> y and y -> x.
+# Samples per scratch buffer of the entropy kernel. The sample axis is walked
+# in row blocks of about this many samples, so the two buffers stay in cache
+# and memory does not grow with N.
+_BLOCK_ELEMENTS = 1 << 15
 
-    Both inputs are standardized internally. Positive values favor x -> y.
+
+# Least share 1 - rho^2 of a candidate's variance that must be left after
+# regressing out another candidate. On exactly collinear columns rounding
+# leaves up to about 2.4e-14 of it in the pairwise correlation (N = 10^5)
+# and about 1e-28 in a residual column, so both feeders reject such pairs
+# with this one test, while a pair keeping over a millionth of its scale
+# passes.
+_MIN_KEPT_VARIANCE = 1e-12
+
+
+def _check_kept_variance(kept):
+    """Raise DegenerateCorrelation if a pair keeps almost none of its variance."""
+    if np.any(kept < _MIN_KEPT_VARIANCE):
+        raise DegenerateCorrelation("|correlation| is 1 between candidates")
+
+
+def _block_rows(n, width):
+    """Rows per block when each stacked state holds ``width`` samples.
+
+    Blocks are of near-equal size. They depend on N and the width only, so a
+    state's entropies do not depend on what else shares its kernel call.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ValueError("plr needs equal-length vectors")
-    sx = x.std()
-    sy = y.std()
-    if sx == 0.0 or sy == 0.0:
-        raise ZeroVariance("plr input is constant")
-    zx = (x - x.mean()) / sx
-    zy = (y - y.mean()) / sy
-    rho = float(np.mean(zx * zy))
-    if abs(rho) >= 1.0:
-        raise DegenerateCorrelation("|correlation| is 1")
-    d = zy - rho * zx
-    e = zx - rho * zy
-    if d.std() == 0.0 or e.std() == 0.0:
-        raise DegenerateCorrelation("residual has zero scale")
-    return (
-        -approx_entropy(zx) - approx_entropy(d)
-        + approx_entropy(zy) + approx_entropy(e)
-    )
+    blocks = -(-n * width // _BLOCK_ELEMENTS)
+    return -(-n // blocks)
 
 
-def _column_entropies(z):
-    # H_hat of each already-standardized column.
-    t1 = _log_cosh(z).mean(axis=0) - GAMMA
-    t2 = (z * np.exp(-0.5 * z * z)).mean(axis=0)
+def _max_entropy(fill, shape, n, rows):
+    """Maximum entropy approximation of a stack of unit-variance samples.
+
+    Each entropy is H_GAUSS - K1 (E[log cosh u] - GAMMA)^2
+    - K2 E[u exp(-u^2 / 2)]^2 of one length-n sample u. ``fill(out, start,
+    stop)`` writes observations start:stop of every sample of the stack, an
+    array of ``shape``, into ``out``, whose last axis runs over observations.
+    Both moment sums are accumulated in place over row blocks of ``rows``.
+    Each sample is summed along its own contiguous row, so its result does
+    not depend on the other samples of the stack.
+    """
+    u = np.empty(shape + (rows,))
+    w = np.empty_like(u)
+    log_cosh_sum = np.zeros(shape)
+    gauss_sum = np.zeros(shape)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        ub, wb = u[..., :stop - start], w[..., :stop - start]
+        fill(ub, start, stop)
+        # u exp(-u^2 / 2)
+        np.multiply(ub, ub, out=wb)
+        wb *= -0.5
+        np.exp(wb, out=wb)
+        wb *= ub
+        gauss_sum += wb.sum(axis=-1)
+        # log cosh u + log 2 = |u| + log1p(exp(-2 |u|)), stable for large |u|
+        np.abs(ub, out=ub)
+        np.multiply(ub, -2.0, out=wb)
+        np.exp(wb, out=wb)
+        np.log1p(wb, out=wb)
+        wb += ub
+        log_cosh_sum += wb.sum(axis=-1)
+    t1 = log_cosh_sum / n - LOG2 - GAMMA
+    t2 = gauss_sum / n
     return H_GAUSS - K1 * t1 * t1 - K2 * t2 * t2
+
+
+def state_entropies(stack, width):
+    """Entropies and scales of the rows of a stack of lattice states.
+
+    ``stack`` is a K x N array: the residual columns of K / ``width`` states
+    of ``width`` columns each, one row per column. Returns two length-K
+    arrays: the entropy of each row after centring and scaling it to unit
+    variance, and its standard deviation. A row of zero variance raises
+    DegenerateCorrelation: it is a residual with nothing left.
+    """
+    stack = np.ascontiguousarray(stack, dtype=float)
+    k, n = stack.shape
+    centered = stack - stack.mean(axis=1)[:, None]
+    std = np.sqrt(np.mean(centered * centered, axis=1))
+    if np.any(std == 0.0):
+        raise DegenerateCorrelation("a residual column is constant")
+    scale = std[:, None]
+
+    def fill(out, start, stop):
+        np.divide(centered[:, start:stop], scale, out=out)
+
+    return _max_entropy(fill, (k,), n, _block_rows(n, width)), std
+
+
+def _plr_ratios(e):
+    """Likelihood ratios R_ij = (h_j - h_i) + (E_ij - E_ji).
+
+    E_ij is the entropy of standardized candidate i after regressing out
+    candidate j, and the diagonal of ``e`` holds h_i, the entropy of
+    standardized candidate i itself. The result is antisymmetric with an
+    exactly zero diagonal by construction.
+    """
+    h = np.diag(e)
+    return (h[None, :] - h[:, None]) + (e - e.T)
+
+
+def table_ratios(state, children):
+    """``plr_matrix`` of a state from its entry in a per-state entropy table.
+
+    An entry is the pair (entropies, scales) that ``state_entropies`` gives
+    for the state's m columns; ``children[j]`` is the entry of the state
+    without candidate j. By the Frisch-Waugh-Lovell theorem, column i of
+    that child is the residual of column i on column j, so E_ij is the
+    child's entropy of i, and its scale is sqrt(1 - rho_ij^2) times column
+    i's. Pairs are checked for collinearity on that 1 - rho_ij^2 by the
+    same test as in ``plr_matrix``.
+    """
+    h, scale = state
+    m = h.size
+    off = ~np.eye(m, dtype=bool)
+    e = np.empty((m, m))
+    kept = np.zeros((m, m))  # kept[i, j]: share of column i's scale left on j
+    # e.T[off] runs over j, then i != j: child j's columns in order.
+    e.T[off] = np.concatenate([child[0] for child in children])
+    kept.T[off] = np.concatenate([child[1] for child in children])
+    np.fill_diagonal(e, h)
+    kept /= scale[:, None]
+    _check_kept_variance(kept[off] * kept[off])
+    return _plr_ratios(e)
+
+
+def table_costs(state, children):
+    """PLR step costs from table entries: ``plr_costs`` up to rounding."""
+    return _step_costs(table_ratios(state, children))
 
 
 def plr_matrix(columns):
     """Likelihood-ratio matrix over a set of candidate columns.
 
-    Entry [i, j] > 0 reads as evidence that candidate i causes candidate j.
-    Writing h_i for the entropy of standardized column i and E_ij for the
-    entropy of the standardized residual of column i on column j, the ratio
-    is R_ij = (h_j - h_i) + (E_ij - E_ji), which is antisymmetric with an
-    exactly zero diagonal by construction.
+    Entry [i, j] > 0 reads as evidence that candidate i causes candidate j;
+    see ``_plr_ratios``. With z the standardized columns and rho their
+    correlations, the residual z_i - rho_ij z_j has mean 0 and variance
+    1 - rho_ij^2, so the kernel is fed u_ij = (z_i - rho_ij z_j) /
+    sqrt(1 - rho_ij^2). Setting rho_jj = 0 makes u_jj = z_j, so the diagonal
+    of E holds h. A pair with 1 - rho_ij^2 below ``_MIN_KEPT_VARIANCE``
+    raises DegenerateCorrelation.
     """
     columns = np.asarray(columns, dtype=float)
     if columns.ndim != 2 or columns.shape[1] < 2:
@@ -155,23 +236,28 @@ def plr_matrix(columns):
     std = columns.std(axis=0)
     if np.any(std == 0.0):
         raise ZeroVariance("a candidate column is constant")
-    z = (columns - columns.mean(axis=0)) / std
+    z = columns - columns.mean(axis=0)
+    z /= std
     rho = z.T @ z / n
-    off = ~np.eye(m, dtype=bool)
-    if np.any(np.abs(rho[off]) >= 1.0):
-        raise DegenerateCorrelation("|correlation| is 1 between candidates")
-    h = _column_entropies(z)
-    e = np.empty((m, m))
-    for j in range(m):
-        # d[:, i] is the residual of column i on column j.
-        d = z - z[:, j, None] * rho[None, :, j]
-        d = d - d.mean(axis=0)
-        sd = d.std(axis=0)
-        sd[j] = 1.0  # the j-on-j residual is identically zero; entry unused
-        if np.any(sd == 0.0):
-            raise DegenerateCorrelation("residual has zero scale")
-        e[:, j] = _column_entropies(d / sd)
-    return (h[None, :] - h[:, None]) + (e - e.T)
+    np.fill_diagonal(rho, 0.0)
+    kept = 1.0 - rho * rho
+    _check_kept_variance(kept)
+    inv_scale = (1.0 / np.sqrt(kept))[:, :, None]
+    rho = rho[:, :, None]
+    z = np.ascontiguousarray(z.T)
+
+    def fill(out, start, stop):
+        block = z[:, start:stop]
+        np.multiply(rho, block[None, :, :], out=out)
+        np.subtract(block[:, None, :], out, out=out)
+        out *= inv_scale
+
+    return _plr_ratios(_max_entropy(fill, (m, m), n, _block_rows(n, m * m)))
+
+
+def _step_costs(entries):
+    neg = np.minimum(entries, 0.0)
+    return (neg * neg).sum(axis=1) / (entries.shape[0] - 1)
 
 
 def plr_costs(columns):
@@ -182,9 +268,7 @@ def plr_costs(columns):
     upstream variable. Smaller is more independent, so these are usable as
     shortest-path edge weights directly.
     """
-    entries = plr_matrix(columns)
-    neg = np.minimum(entries, 0.0)
-    return (neg * neg).sum(axis=1) / (entries.shape[0] - 1)
+    return _step_costs(plr_matrix(columns))
 
 
 def knn_mi(x_block, y, k):

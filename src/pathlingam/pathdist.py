@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateDistribution, TooManyFeatures
-from .search import Lattice
+from .search import Lattice, TableLattice
 
 LOG_EPSILON = 1e-12
 ENUMERATION_CAP = 8
@@ -64,12 +64,13 @@ def enumerate_paths(data, config=None, max_features=ENUMERATION_CAP):
 
     A depth-first walk of the subset lattice reuses each edge weight across
     all the permutations sharing it, so the lattice's 2^(p-1) * p edges are
-    each evaluated once. Lengths come out in lexicographic permutation order.
+    each evaluated once (PLR weights from the lattice's entropy table).
+    Lengths come out in lexicographic permutation order.
     """
     p = data.n_features
     if p > max_features:
         raise TooManyFeatures(f"p={p} exceeds the enumeration cap {max_features}")
-    lattice = Lattice(data, config)
+    lattice = TableLattice(data, config)
     lengths = []
 
     def walk(mask, acc):
@@ -91,12 +92,21 @@ def sample_paths(data, config, n, seed):
 
     Edge weights are memoized on the shared lattice, and permutations are
     drawn one at a time, so a longer run with the same seed extends a
-    shorter one (the first min(n, n') draws coincide).
+    shorter one: the first min(n, n') draws coincide, exactly when both
+    runs weigh PLR edges the same way and up to rounding otherwise.
+
+    The draws make n (p - 1) state visits among the lattice's 2^p states.
+    The entropy table pays off when states are reached from several
+    parents. With fewer visits than a third of the states, most states are
+    reached once and the table's work on their children is wasted, so
+    costs come from the pairwise kernel.
     """
     n = int(n)
     if n < 1:
         raise ValueError("need at least one sampled path")
-    lattice = Lattice(data, config)
+    p = data.n_features
+    dense = 3 * n * (p - 1) >= 1 << p
+    lattice = (TableLattice if dense else Lattice)(data, config)
     rng = np.random.default_rng(seed)
     lengths = []
     for _ in range(n):

@@ -192,6 +192,15 @@ def _label_for(target, params, data, truth, config):
     return float(e_o)
 
 
+def check_enumeration_cap(p_values, path_mode, max_features):
+    """Raise TooManyFeatures if exhaustive mode would enumerate any p > cap."""
+    largest = max((int(p) for p in p_values), default=0)
+    if path_mode is PathMode.EXHAUSTIVE and largest > max_features:
+        raise TooManyFeatures(
+            f"p={largest} exceeds the enumeration cap {max_features}"
+        )
+
+
 def build_training_set(
     target,
     p_values,
@@ -215,11 +224,7 @@ def build_training_set(
     """
     config = config if config is not None else MeasureConfig()
     target = PredictTarget(target)
-    largest = max((int(p) for p in p_values), default=0)
-    if path_mode is PathMode.EXHAUSTIVE and largest > max_features:
-        raise TooManyFeatures(
-            f"p={largest} exceeds the enumeration cap {max_features}"
-        )
+    check_enumeration_cap(p_values, path_mode, max_features)
     rows = []
     for p in p_values:
         for trial in range(int(trials_per_p)):

@@ -7,7 +7,10 @@ by how dependent that candidate still is on the rest, so the cheapest path is
 the most plausible causal ordering. Edges into the goal weigh exactly 0.
 
 Edge weights are evaluated lazily (only when a state is expanded) and
-memoized per lattice edge, which also serves the path-distribution module.
+memoized per lattice edge. The search, which expands few states, weighs a
+state's edges with the pairwise PLR kernel on that state's columns; path
+enumeration and dense path sampling, which reach states from several
+parents, read them from a per-state entropy table (``TableLattice``).
 """
 
 import heapq
@@ -17,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PriorUnsatisfiable, ZeroVariance
-from .measures import MeasureConfig, MeasureKind, knn_step_cost, plr_costs, residual
+from .measures import (
+    MeasureConfig,
+    MeasureKind,
+    knn_step_cost,
+    plr_costs,
+    state_entropies,
+    table_costs,
+)
 from .model import CausalOrder, PriorKnowledge, standardize_values
 
 
@@ -34,16 +44,18 @@ class SearchResult:
 def residualize(columns, pos):
     """Drop column ``pos``, regressing it out of every other column.
 
-    This is the single lattice transition: each remaining column is replaced
-    by its least-squares residual on the chosen column.
+    This is the single lattice transition: each remaining column x is
+    replaced by its least-squares residual x - b c on the chosen column c,
+    with b = cov(x, c) / var(c), all in one rank-1 update.
     """
     chosen = columns[:, pos]
-    if chosen.std() == 0.0:
+    centered = chosen - chosen.mean()
+    var = centered @ centered
+    if var == 0.0:
         raise ZeroVariance(f"residual column {pos} is constant at this state")
-    kept = [
-        residual(columns[:, i], chosen) for i in range(columns.shape[1]) if i != pos
-    ]
-    return np.column_stack(kept) if kept else np.empty((columns.shape[0], 0))
+    kept = np.delete(columns, pos, axis=1)
+    kept -= chosen[:, None] * (centered @ kept / var)
+    return kept
 
 
 def _position(mask, feature):
@@ -114,11 +126,11 @@ class Lattice:
         if cached is not None:
             return cached
         allowed = self.allowed_candidates(mask)
-        columns = self.columns(mask)
         if self.config.kind is MeasureKind.PLR:
-            by_position = plr_costs(columns)
+            by_position = self._plr_costs(mask)
             costs = {f: float(by_position[_position(mask, f)]) for f in allowed}
         else:
+            columns = self.columns(mask)
             costs = {
                 f: knn_step_cost(columns, _position(mask, f), self.config)
                 for f in allowed
@@ -126,6 +138,46 @@ class Lattice:
         self.edges_evaluated += len(allowed)
         self._costs[mask] = costs
         return costs
+
+    def _plr_costs(self, mask):
+        return plr_costs(self.columns(mask))
+
+
+class TableLattice(Lattice):
+    """A lattice for callers that visit most states from each of their parents.
+
+    PLR costs come from a table ``h[mask]`` of per-state entropies: those of
+    the standardized canonical columns of each state, kept with the
+    columns' scales. A state's costs need its own entropies and its
+    children's, so each state's entropies are computed once, not once per
+    parent as with the pairwise kernel. The missing children of a state go
+    through one kernel call. The costs equal ``Lattice.costs_at`` up to
+    rounding, and each is a function of its state alone, whichever states
+    shared a kernel call.
+    """
+
+    def __init__(self, data, config=None, prior=None):
+        super().__init__(data, config, prior)
+        self._table = {}
+
+    def _plr_costs(self, mask):
+        children = [mask & ~(1 << f) for f in range(self.p) if mask & (1 << f)]
+        self._fill_table([mask])
+        self._fill_table(children)
+        return table_costs(self._table[mask], [self._table[c] for c in children])
+
+    def _fill_table(self, masks):
+        # One kernel call for the missing states among ``masks``, which all
+        # hold the same number of features.
+        missing = [mask for mask in masks if mask not in self._table]
+        if not missing:
+            return
+        width = missing[0].bit_count()
+        stack = np.concatenate([self.columns(mask).T for mask in missing])
+        entropies, scales = state_entropies(stack, width)
+        for k, mask in enumerate(missing):
+            part = slice(k * width, (k + 1) * width)
+            self._table[mask] = (entropies[part], scales[part])
 
 
 def _reconstruct(parent, full):

@@ -81,25 +81,42 @@ def write_matrix_csv(path, values, names):
 
 
 def read_matrix_csv(path):
-    """Read a header-plus-numeric-rows CSV; returns (values, names)."""
+    """Read a header-plus-numeric-rows CSV; returns (values, names).
+
+    Rows are split on commas and converted by one numpy call. A file that
+    does not convert that way (quoted fields, a wrong field count, a
+    non-numeric value, no data rows) is parsed again cell by cell, which
+    names the line at fault.
+    """
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+        lines = handle.readlines()
+    if not lines:
+        raise ValueError(f"{path}: empty CSV")
+    names = next(csv.reader(lines[:1]))
+    rows = [line.rstrip("\r\n").split(",") for line in lines[1:]]
+    rows = [fields for fields in rows if fields != [""]]
+    try:
+        values = np.array(rows, dtype=float)
+    except ValueError:
+        values = None
+    if values is None or values.shape != (len(rows), len(names)):
+        values = _parse_rows(path, names, lines[1:])
+    return values, [n.strip() for n in names]
+
+
+def _parse_rows(path, names, lines):
+    rows = []
+    for lineno, row in enumerate(csv.reader(lines), start=2):
+        if not row:
+            continue
+        if len(row) != len(names):
+            raise ValueError(
+                f"{path}:{lineno}: expected {len(names)} fields, got {len(row)}"
+            )
         try:
-            names = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(names):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(names)} fields, got {len(row)}"
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric value") from None
+            rows.append([float(v) for v in row])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric value") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return np.array(rows, dtype=float), [n.strip() for n in names]
+    return np.array(rows, dtype=float)

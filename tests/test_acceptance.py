@@ -20,7 +20,7 @@ from scipy import stats
 from pathlingam.adjacency import estimate_adjacency
 from pathlingam.bench import Method, run_trial
 from pathlingam.cli import main
-from pathlingam.measures import plr, plr_costs
+from pathlingam.measures import plr_costs, state_entropies, table_costs
 from pathlingam.model import Dataset, standardize_values
 from pathlingam.pathdist import (
     PathDistribution,
@@ -40,6 +40,8 @@ from pathlingam.predict import (
 from pathlingam.search import residualize, shortest_path_order
 from pathlingam.simgen import generate, sample_benchmark_params
 from pathlingam.util import stable_seed
+
+from plr_reference import plr
 
 
 # Straight-line reimplementation of a single path's cost, shared with the
@@ -187,26 +189,41 @@ class TestPathDistributionConsistency:
     def test_enumeration_matches_stepwise_recomputation_exactly(self):
         """Every enumerated total is bit-identical to a from-scratch walk of
         that permutation: residual states are canonical (features peeled in
-        ascending index order), so a path's cost has exactly one float
-        realization."""
+        ascending index order) and a state's entropies do not depend on the
+        states that shared its kernel call, so a path's cost has exactly one
+        float realization. It also matches a walk that weighs each step with
+        the pairwise kernel (plr_costs) to 1e-9 relative."""
 
-        def stepwise_total(data, permutation):
+        def canonical_columns(base, mask):
+            columns = base
+            kept = list(range(base.shape[1]))
+            for removed in range(base.shape[1]):
+                if mask & (1 << removed):
+                    continue
+                columns = residualize(columns, kept.index(removed))
+                kept.remove(removed)
+            return columns, kept
+
+        def table_entry(base, mask):
+            columns, _ = canonical_columns(base, mask)
+            return state_entropies(columns.T, columns.shape[1])
+
+        def stepwise_totals(data, permutation):
             base = standardize_values(data.values)
-            p = data.n_features
-            full = (1 << p) - 1
-            mask = full
-            total = 0.0
+            mask = (1 << data.n_features) - 1
+            table_total = pairwise_total = 0.0
             for feature in permutation[:-1]:
-                columns = base
-                kept = list(range(p))
-                for removed in range(p):
-                    if mask & (1 << removed):
-                        continue
-                    columns = residualize(columns, kept.index(removed))
-                    kept.remove(removed)
-                total = total + float(plr_costs(columns)[kept.index(feature)])
+                columns, kept = canonical_columns(base, mask)
+                children = [table_entry(base, mask & ~(1 << f)) for f in kept]
+                position = kept.index(feature)
+                table_total = table_total + float(
+                    table_costs(table_entry(base, mask), children)[position]
+                )
+                pairwise_total = pairwise_total + float(
+                    plr_costs(columns)[position]
+                )
                 mask &= ~(1 << feature)
-            return total
+            return table_total, pairwise_total
 
         for trial in range(3):
             seed = stable_seed(42, "exact-recompute", trial)
@@ -216,7 +233,9 @@ class TestPathDistributionConsistency:
             perms = list(itertools.permutations(range(4)))
             assert len(lengths) == len(perms)
             for total, perm in zip(lengths, perms):
-                assert total == stepwise_total(data, perm)
+                table_total, pairwise_total = stepwise_totals(data, perm)
+                assert total == table_total
+                assert abs(total - pairwise_total) <= 1e-9 * abs(pairwise_total)
 
 
 class TestMomentReferenceValues:

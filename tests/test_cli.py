@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from pathlingam import cli
 from pathlingam.cli import main
 
 
@@ -188,6 +189,27 @@ class TestPathdistAndFeatures:
             result["total_cost"], abs=1e-9
         )
 
+    @pytest.mark.parametrize("seed", [0, 5, 9, 12, 15, 27, 32])
+    def test_collinear_data_exits_alike_in_discover_and_pathdist(
+        self, tmp_path, capsys, seed
+    ):
+        # x2 = 2 x0 - 3 exactly. Rounding left the search an order on
+        # seeds 5, 9, 12, 15, 27 and 32, made of noise; both commands must
+        # reject every one.
+        x = np.random.default_rng(seed).uniform(size=(300, 2))
+        values = np.column_stack([x, 2.0 * x[:, 0] - 3.0])
+        data = tmp_path / "collinear.csv"
+        data.write_text(
+            "x0,x1,x2\n"
+            + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in values)
+        )
+        codes = [
+            main([command, "--data", str(data), "--out", str(tmp_path / "o.json")])
+            for command in ("discover", "pathdist")
+        ]
+        assert codes == [5, 5]
+        capsys.readouterr()
+
     def test_enumeration_cap_exits_4(self, tmp_path, capsys):
         out = _gen(tmp_path, p=4)
         code = main(
@@ -310,6 +332,22 @@ class TestTrainPredictEval:
         code = main(
             ["train", "--target", "confounder", "--p", "9",
              "--trials-per-p", "1", "--out", str(out)]
+        )
+        assert code == 4
+        assert "enumeration cap" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_train_jobs_checks_cap_before_any_worker(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        out = tmp_path / "rows.jsonl"
+        code = main(
+            ["train", "--target", "confounder", "--p", "6,9",
+             "--trials-per-p", "2", "--jobs", "2", "--out", str(out)]
         )
         assert code == 4
         assert "enumeration cap" in capsys.readouterr().err
@@ -445,3 +483,41 @@ def test_cli_import_does_not_load_scipy_stats():
         check=True,
     )
     assert done.stdout.strip() == "False"
+
+
+def test_consecutive_commands_match_fresh_interpreters(tmp_path):
+    # main builds its parser once per process; one command's options must
+    # not reach the next.
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    fresh = "import sys; from pathlingam.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    def commands(work):
+        data = str(work / "data.csv")
+        return [
+            ["gen", "--p", "4", "--n", "200", "--seed", "5", "--out", str(work)],
+            ["discover", "--data", data, "--method", "spp-knn",
+             "--k-rule", "frac5", "--out", str(work / "knn.json")],
+            ["discover", "--data", data, "--out", str(work / "spp.json")],
+            ["pathdist", "--data", data, "--mode", "sample", "--samples", "30",
+             "--out", str(work / "dist.json")],
+        ]
+
+    def outputs(work):
+        found = {"data.csv": (work / "data.csv").read_text()}
+        for name in ("knn.json", "spp.json", "dist.json"):
+            payload = json.loads((work / name).read_text())
+            payload.pop("runtime_ms", None)
+            found[name] = payload
+        return found
+
+    in_process, separate = tmp_path / "in_process", tmp_path / "separate"
+    for work in (in_process, separate):
+        work.mkdir()
+    for argv in commands(in_process):
+        assert main(argv) == 0
+    for argv in commands(separate):
+        subprocess.run([sys.executable, "-c", fresh, *argv], env=env, check=True)
+    assert outputs(in_process) == outputs(separate)
+    found = outputs(in_process)
+    assert found["spp.json"]["step_costs"] != found["knn.json"]["step_costs"]

@@ -5,15 +5,21 @@ Oracles used here:
       entropy approximation on a known density
     - the analytic Gaussian mutual information -0.5*log(1 - rho^2) for the
       kNN estimator
-    - pairwise plr() recomputation for the vectorized matrix
+    - the scalar pairwise ratio of plr_reference for the blocked kernel, fed
+      pairwise residuals by plr_matrix and lattice states by the entropy
+      table
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from pathlingam import measures
 from pathlingam.errors import DegenerateCorrelation, InvalidK, ZeroVariance
 from pathlingam.measures import (
     GAMMA,
@@ -22,15 +28,18 @@ from pathlingam.measures import (
     KRule,
     MeasureConfig,
     MeasureKind,
-    approx_entropy,
     k_from_rule,
     knn_mi,
     knn_step_cost,
-    plr,
     plr_costs,
     plr_matrix,
     residual,
+    state_entropies,
+    table_ratios,
 )
+from pathlingam.search import residualize
+
+from plr_reference import approx_entropy, plr
 
 
 class TestKFromRule:
@@ -193,6 +202,170 @@ class TestPlrMatrix:
     def test_rejects_single_column(self):
         with pytest.raises(ValueError):
             plr_matrix(np.ones((50, 1)))
+
+
+def _mixed_columns(seed, n, m):
+    # Uniform and exponential sources through a random lower-triangular
+    # mixing, each column on its own scale: correlated, but not near |rho| = 1.
+    rng = np.random.default_rng(seed)
+    uniform = rng.uniform(-1.0, 1.0, (n, m))
+    skewed = rng.standard_exponential((n, m))
+    sources = np.where(rng.integers(0, 2, m) == 1, uniform, skewed)
+    mixing = np.tril(rng.uniform(-0.8, 0.8, (m, m)), -1) + np.eye(m)
+    return sources @ mixing.T * rng.uniform(0.5, 2.0, m)
+
+
+def _sample_sizes(width):
+    # Both sides of the kernel's first row-block boundary for states of
+    # ``width`` samples, and N = 1000.
+    one_block = measures._BLOCK_ELEMENTS // width
+    return (one_block, one_block + 1, 1000)
+
+
+_SHAPES = st.integers(2, 16).flatmap(
+    lambda m: st.tuples(st.just(m), st.sampled_from(_sample_sizes(m * m)))
+)
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestPlrMatrixProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(shape=_SHAPES, seed=_SEEDS)
+    def test_matches_scalar_reference(self, shape, seed):
+        m, n = shape
+        columns = _mixed_columns(seed, n, m)
+        entries = plr_matrix(columns)
+        for i in range(m):
+            for j in range(m):
+                if i != j:
+                    expected = plr(columns[:, i], columns[:, j])
+                    assert abs(entries[i, j] - expected) <= 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=_SHAPES, seed=_SEEDS)
+    def test_antisymmetric_with_zero_diagonal(self, shape, seed):
+        m, n = shape
+        entries = plr_matrix(_mixed_columns(seed, n, m))
+        assert np.array_equal(entries, -entries.T)
+        assert np.all(np.diag(entries) == 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=_SHAPES, seed=_SEEDS, data=st.data())
+    def test_permuting_columns_permutes_the_matrix(self, shape, seed, data):
+        m, n = shape
+        columns = _mixed_columns(seed, n, m)
+        perm = np.array(data.draw(st.permutations(range(m))))
+        permuted = plr_matrix(columns[:, perm])
+        assert np.allclose(permuted, plr_matrix(columns)[np.ix_(perm, perm)],
+                           rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shape=_SHAPES,
+        seed=_SEEDS,
+        data=st.data(),
+        factor=st.floats(1e-3, 1e3),
+    )
+    def test_positive_column_scale_leaves_matrix_unchanged(
+        self, shape, seed, data, factor
+    ):
+        m, n = shape
+        columns = _mixed_columns(seed, n, m)
+        scaled = columns.copy()
+        scaled[:, data.draw(st.integers(0, m - 1))] *= factor
+        assert np.allclose(plr_matrix(scaled), plr_matrix(columns),
+                           rtol=0.0, atol=1e-10)
+
+    def test_peak_memory_stays_within_a_few_inputs(self):
+        # An unblocked N x m x m temporary would take 400 MB here.
+        columns = _mixed_columns(46, 200_000, 16)
+        tracemalloc.start()
+        try:
+            plr_matrix(columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * columns.nbytes
+
+
+def _table_entry(columns):
+    return state_entropies(columns.T, columns.shape[1])
+
+
+def _children(columns):
+    return [_table_entry(residualize(columns, j)) for j in range(columns.shape[1])]
+
+
+class TestEntropyTable:
+    @settings(max_examples=30, deadline=None)
+    @given(shape=_SHAPES, seed=_SEEDS)
+    def test_ratios_match_plr_matrix_of_the_same_state(self, shape, seed):
+        m, n = shape
+        columns = _mixed_columns(seed, n, m)
+        ratios = table_ratios(_table_entry(columns), _children(columns))
+        assert np.allclose(ratios, plr_matrix(columns), rtol=0.0, atol=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        width=st.integers(1, 16).flatmap(
+            lambda w: st.tuples(st.just(w), st.sampled_from(_sample_sizes(w)))
+        ),
+        batch=st.integers(2, 6),
+        seed=_SEEDS,
+        data=st.data(),
+    )
+    def test_state_entropies_identical_alone_and_in_a_batch(
+        self, width, batch, seed, data
+    ):
+        width, n = width
+        states = [_mixed_columns(seed + k, n, width).T for k in range(batch)]
+        where = data.draw(st.integers(0, batch - 1))
+        entropies, scales = state_entropies(np.concatenate(states), width)
+        alone = state_entropies(states[where], width)
+        part = slice(where * width, (where + 1) * width)
+        assert np.array_equal(entropies[part], alone[0])
+        assert np.array_equal(scales[part], alone[1])
+
+    def test_entropies_match_scalar_reference(self):
+        columns = _mixed_columns(48, 700, 5)
+        entropies, scales = _table_entry(columns)
+        for i in range(5):
+            assert entropies[i] == pytest.approx(
+                approx_entropy(columns[:, i]), abs=1e-12
+            )
+        assert np.allclose(scales, columns.std(axis=0), rtol=1e-12, atol=0.0)
+
+    def test_constant_residual_raises(self):
+        columns = _mixed_columns(49, 300, 3)
+        with pytest.raises(DegenerateCorrelation):
+            state_entropies(np.vstack([columns.T, np.full(300, 2.0)]), 4)
+
+    def test_duplicate_candidates_raise_like_plr_matrix(self):
+        x = _mixed_columns(50, 300, 2)
+        columns = np.column_stack([x, x[:, 0]])
+        with pytest.raises(DegenerateCorrelation):
+            plr_matrix(columns)
+        with pytest.raises(DegenerateCorrelation):
+            table_ratios(_table_entry(columns), _children(columns))
+
+    @pytest.mark.parametrize("noise, collinear", [(1e-8, True), (1e-4, False)])
+    def test_both_feeders_take_one_collinearity_decision(self, noise, collinear):
+        # Column 2 keeps about noise^2 of its variance after regressing out
+        # column 0: far below the bound at 1e-8, far above it at 1e-4.
+        x = _mixed_columns(51, 300, 3)
+        columns = x.copy()
+        columns[:, 2] = 2.0 * x[:, 0] - 3.0 + noise * x[:, 2]
+        entry, children = _table_entry(columns), _children(columns)
+        if collinear:
+            with pytest.raises(DegenerateCorrelation):
+                plr_matrix(columns)
+            with pytest.raises(DegenerateCorrelation):
+                table_ratios(entry, children)
+        else:
+            assert np.allclose(
+                table_ratios(entry, children), plr_matrix(columns),
+                rtol=0.0, atol=1e-6,
+            )
 
 
 class TestPlrCosts:

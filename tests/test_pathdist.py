@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from pathlingam import pathdist
 from pathlingam.errors import DegenerateDistribution, TooManyFeatures, ZeroVariance
-from pathlingam.measures import plr
 from pathlingam.model import Dataset
 from pathlingam.pathdist import (
     LOG_EPSILON,
@@ -21,6 +21,8 @@ from pathlingam.pathdist import (
 )
 from pathlingam.search import shortest_path_order
 from pathlingam.simgen import GenParams, generate
+
+from plr_reference import plr
 
 
 def _dataset(seed, p=3, n=400):
@@ -104,6 +106,23 @@ class TestSample:
         short = sample_paths(data, None, 5, seed=11)
         long = sample_paths(data, None, 12, seed=11)
         assert long.lengths[:5] == short.lengths
+
+    def test_sparse_runs_use_the_pairwise_kernel(self, monkeypatch):
+        # p = 7: the table is used from 3 n (p - 1) >= 2^p, n = 8.
+        data = _dataset(12, p=7)
+        built = []
+
+        class Spy(pathdist.TableLattice):
+            def __init__(self, *args):
+                built.append(True)
+                super().__init__(*args)
+
+        monkeypatch.setattr(pathdist, "TableLattice", Spy)
+        sparse = sample_paths(data, None, 7, seed=4)
+        assert not built
+        dense = sample_paths(data, None, 8, seed=4)
+        assert built
+        assert np.allclose(dense.lengths[:7], sparse.lengths, rtol=1e-9, atol=0.0)
 
     def test_seed_matters(self):
         data = _dataset(7, p=4)

@@ -12,17 +12,22 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathlingam.errors import ZeroVariance
-from pathlingam.measures import MeasureConfig, MeasureKind, plr, plr_costs
+from pathlingam.measures import MeasureConfig, MeasureKind, plr_costs, residual
 from pathlingam.model import PriorKnowledge, expand_prior
 from pathlingam.search import (
     Lattice,
+    TableLattice,
     direct_lingam_order,
     residualize,
     shortest_path_order,
 )
 from pathlingam.simgen import GenParams, generate
+
+from plr_reference import plr
 
 
 def _standardize(values):
@@ -230,6 +235,25 @@ class TestResidualize:
         with pytest.raises(ZeroVariance):
             residualize(columns, 0)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        m=st.integers(1, 16),
+        n=st.integers(3, 400),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_per_column_residual(self, m, n, seed, data):
+        rng = np.random.default_rng(seed)
+        mixing = np.eye(m) + rng.uniform(-0.8, 0.8, (m, m))
+        columns = rng.standard_exponential((n, m)) @ mixing
+        pos = data.draw(st.integers(0, m - 1))
+        kept = [i for i in range(m) if i != pos]
+        expected = [residual(columns[:, i], columns[:, pos]) for i in kept]
+        child = residualize(columns, pos)
+        assert child.shape == (n, m - 1)
+        for k, column in enumerate(expected):
+            assert np.allclose(child[:, k], column, rtol=0.0, atol=1e-12)
+
 
 class TestLattice:
     def test_columns_independent_of_removal_order(self):
@@ -288,3 +312,41 @@ class TestLattice:
         result = shortest_path_order(data, config)
         assert sorted(result.order.order) == [0, 1, 2]
         assert all(c >= 0.0 for c in result.order.step_costs)
+
+
+def _states_with_edges(p):
+    return [mask for mask in range(1, 1 << p) if mask.bit_count() >= 2]
+
+
+class TestTableLattice:
+    def test_costs_match_pairwise_lattice_on_every_state(self):
+        for seed in (70, 71):
+            data, _ = _dataset(seed, p=5, sparsity=0.5)
+            pairwise, table = Lattice(data), TableLattice(data)
+            for mask in _states_with_edges(5):
+                expected = pairwise.costs_at(mask)
+                costs = table.costs_at(mask)
+                assert sorted(costs) == sorted(expected)
+                for feature, cost in costs.items():
+                    assert cost == pytest.approx(
+                        expected[feature], rel=1e-9, abs=1e-12
+                    )
+            assert table.edges_evaluated == pairwise.edges_evaluated
+
+    def test_costs_do_not_depend_on_visit_order(self):
+        data, _ = _dataset(72, p=5, sparsity=0.3)
+        states = _states_with_edges(5)
+        forward, shuffled = TableLattice(data), TableLattice(data)
+        expected = {mask: forward.costs_at(mask) for mask in states}
+        order = np.random.default_rng(3).permutation(len(states))
+        for index in order:
+            mask = states[index]
+            assert shuffled.costs_at(mask) == expected[mask]
+
+    def test_knn_costs_come_from_the_pairwise_path(self):
+        data, _ = _dataset(73, p=3, n=200)
+        config = MeasureConfig(MeasureKind.KNN_MI)
+        mask = 0b111
+        assert TableLattice(data, config).costs_at(mask) == Lattice(
+            data, config
+        ).costs_at(mask)
