@@ -7,10 +7,13 @@ Kraskov k-nearest-neighbor mutual information estimator, extended so one
 variable can be scored against a whole block of residuals.
 
 Both operate on an N x m array of residual columns, one column per
-remaining feature, and are pure functions. The likelihood ratio's entropies
-all come from one blocked kernel, fed in two ways: pairwise residuals of
-one state (``plr_matrix``, for the search), or the columns of many lattice
-states at once (``state_entropies``, for a per-state entropy table).
+remaining feature, and are pure functions; ``residualize`` is the one
+lattice transition that makes those columns. The likelihood ratio's
+entropies all come from one blocked kernel, fed in two ways: pairwise
+residuals of one state (``plr_matrix``, for the search), or the columns of
+many lattice states at once (``state_entropies``, for a per-state entropy
+table). Only the kNN estimator needs scipy, and it imports scipy when it
+first runs, so the likelihood ratio never loads it.
 """
 
 import math
@@ -18,8 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma
 
 from .errors import DegenerateCorrelation, InvalidK, ZeroVariance
 
@@ -71,18 +72,21 @@ def k_from_rule(rule, n_samples):
     raise ValueError(f"unknown k rule {rule!r}")
 
 
-def residual(xi, xj):
-    """Least-squares residual of xi regressed on xj (population moments)."""
-    xi = np.asarray(xi, dtype=float)
-    xj = np.asarray(xj, dtype=float)
-    if xi.shape != xj.shape or xi.ndim != 1 or xi.size < 2:
-        raise ValueError("residual needs two equal-length vectors of size >= 2")
-    mj = xj.mean()
-    var = np.mean(xj * xj) - mj * mj
+def residualize(columns, pos):
+    """Drop column ``pos``, regressing it out of every other column.
+
+    This is the single lattice transition: each remaining column x is
+    replaced by its least-squares residual x - b c on the chosen column c,
+    with b = cov(x, c) / var(c), all in one rank-1 update.
+    """
+    chosen = columns[:, pos]
+    centered = chosen - chosen.mean()
+    var = centered @ centered
     if var == 0.0:
-        raise ZeroVariance("regressor has zero variance")
-    cov = np.mean(xi * xj) - xi.mean() * mj
-    return xi - (cov / var) * xj
+        raise ZeroVariance(f"residual column {pos} is constant at this state")
+    kept = np.delete(columns, pos, axis=1)
+    kept -= chosen[:, None] * (centered @ kept / var)
+    return kept
 
 
 # Samples per scratch buffer of the entropy kernel. The sample axis is walked
@@ -271,13 +275,64 @@ def plr_costs(columns):
     return _step_costs(plr_matrix(columns))
 
 
+# Leaf size of the kd-tree that counts neighbours in a block of two or more
+# columns. At 2-4 columns and N = 300-10,000 its ball counts ran 6-25%
+# faster than with scipy's default of 16, with the same counts.
+_BLOCK_LEAFSIZE = 32
+
+
+def _count_at_most(s, v, r):
+    """For each i, the number of j with s_j - v_i <= r_i; ``s`` is sorted.
+
+    The difference is rounded as computed, and the rounded difference grows
+    with s_j, so the j that pass are a prefix of ``s``. Bracketing on the
+    rounded bound v_i + r_i can put its end a few values off, so each end is
+    moved, a run of tied values at a time, until the value just inside it
+    passes and the one just outside fails.
+    """
+    n = s.size
+    end = np.searchsorted(s, v + r, side="right")
+    while True:
+        grow = end < n
+        grow[grow] = s[end[grow]] - v[grow] <= r[grow]
+        if not grow.any():
+            break
+        end[grow] = np.searchsorted(s, s[end[grow]], side="right")
+    while True:
+        shrink = end > 0
+        shrink[shrink] = s[end[shrink] - 1] - v[shrink] > r[shrink]
+        if not shrink.any():
+            return end
+        end[shrink] = np.searchsorted(s, s[end[shrink] - 1], side="left")
+
+
+def _count_within(v, r):
+    """For each i, the number of j with |v_j - v_i| <= r_i, i itself included.
+
+    These are the counts of a max-norm ball query on one column, found by
+    sorting instead of a tree. |d| <= r holds exactly when d <= r and
+    -d <= r, and v_i - v_j is exactly -(v_j - v_i), so the j that pass are
+    a prefix of the sorted values counted on v and a suffix counted on -v.
+    A negative radius counts nothing.
+    """
+    s = np.sort(v)
+    below = _count_at_most(s, v, r)
+    above = _count_at_most(-s[::-1], -v, r)
+    return np.maximum(below + above - s.size, 0)
+
+
 def knn_mi(x_block, y, k):
     """Kraskov mutual information between a column block and one variable.
 
     Neighborhoods use the max-norm. n_x counts neighbors within the joint
     k-th-neighbor distance in the block space (the one-to-many extension);
-    n_y counts them along y. Estimates can be slightly negative.
+    n_y counts them along y. A one-column space is counted by sorting, a
+    wider one by a kd-tree; both give the exact counts. Estimates can be
+    slightly negative.
     """
+    from scipy.spatial import cKDTree
+    from scipy.special import digamma
+
     x_block = np.asarray(x_block, dtype=float)
     if x_block.ndim == 1:
         x_block = x_block[:, None]
@@ -289,18 +344,18 @@ def knn_mi(x_block, y, k):
     if k < 1 or k >= n:
         raise InvalidK(f"need 1 <= k < N, got k={k}, N={n}")
     joint = np.hstack([x_block, y[:, None]])
-    dist, _ = cKDTree(joint).query(joint, k=k + 1, p=np.inf)
-    eps = dist[:, -1]
+    dist, _ = cKDTree(joint).query(joint, k=[k + 1], p=np.inf)
+    eps = dist[:, 0]
     # Strict inequality: shrink the radius by one ulp, then drop self-counts.
     radius = np.nextafter(eps, -np.inf)
-    n_x = cKDTree(x_block).query_ball_point(
-        x_block, r=radius, p=np.inf, return_length=True
-    )
-    n_y = cKDTree(y[:, None]).query_ball_point(
-        y[:, None], r=radius, p=np.inf, return_length=True
-    )
-    n_x = np.maximum(np.asarray(n_x) - 1, 0)
-    n_y = np.maximum(np.asarray(n_y) - 1, 0)
+    if x_block.shape[1] == 1:
+        n_x = _count_within(x_block[:, 0], radius)
+    else:
+        n_x = cKDTree(x_block, leafsize=_BLOCK_LEAFSIZE).query_ball_point(
+            x_block, r=radius, p=np.inf, return_length=True
+        )
+    n_x = np.maximum(n_x - 1, 0)
+    n_y = np.maximum(_count_within(y, radius) - 1, 0)
     mean_psi = np.mean(digamma(n_x + 1.0) + digamma(n_y + 1.0))
     return float(digamma(k) - mean_psi + digamma(n))
 
@@ -308,16 +363,12 @@ def knn_mi(x_block, y, k):
 def knn_step_cost(columns, pos, config):
     """kNN-MI step cost: dependence of the candidate on what remains.
 
-    Computes I(column ``pos``; residuals of the other columns after
+    Computes I(column ``pos``; the child state's columns, the others after
     regressing out column ``pos``), clamped below at 0 so Dijkstra sees
     nonnegative weights. The last remaining feature costs 0 by definition.
     """
-    m = columns.shape[1]
-    if m == 1:
+    if columns.shape[1] == 1:
         return 0.0
     xc = columns[:, pos]
-    block = np.column_stack(
-        [residual(columns[:, i], xc) for i in range(m) if i != pos]
-    )
     k = k_from_rule(config.k_rule, xc.size)
-    return max(0.0, knn_mi(block, xc, k))
+    return max(0.0, knn_mi(residualize(columns, pos), xc, k))

@@ -14,7 +14,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyTrainingSet, SingleClass, TooManyFeatures
+from .errors import (
+    EmptyTrainingSet,
+    GenerationFailed,
+    SingleClass,
+    TooManyFeatures,
+)
 from .measures import MeasureConfig
 from .metrics import ordering_error
 from .pathdist import (
@@ -29,6 +34,12 @@ from .simgen import generate, sample_benchmark_params
 from .util import stable_seed
 
 log = logging.getLogger(__name__)
+
+# Parameter draws per training trial before GenerationFailed is raised. A
+# draw fails when its confounders cannot get full-rank loadings; at p = 2
+# that is every draw of two or three confounders, so a trial's draws all
+# fail with probability (2/3)^100.
+GENERATION_ATTEMPTS = 100
 
 
 class PredictTarget(Enum):
@@ -201,6 +212,26 @@ def check_enumeration_cap(p_values, path_mode, max_features):
         )
 
 
+def _generate_trial(p, n_samples, with_confounders, first_seed, seed_parts):
+    """Parameters and data of one trial, redrawing parameters that fail.
+
+    The first draw uses ``first_seed``; after a GenerationFailed, draw
+    ``attempt`` uses ``stable_seed(*seed_parts, attempt)`` and keeps the
+    trial's confounder coin.
+    """
+    param_seed = first_seed
+    for attempt in range(1, GENERATION_ATTEMPTS + 1):
+        params = sample_benchmark_params(p, n_samples, with_confounders, param_seed)
+        try:
+            return (params,) + generate(params)
+        except GenerationFailed:
+            param_seed = stable_seed(*seed_parts, attempt)
+    raise GenerationFailed(
+        f"no parameter draw of trial {seed_parts} generated data "
+        f"in {GENERATION_ATTEMPTS} attempts"
+    )
+
+
 def build_training_set(
     target,
     p_values,
@@ -217,10 +248,12 @@ def build_training_set(
     Each trial draws benchmark parameters (confounders present in half the
     trials on average), generates a dataset, computes the moment features of
     its path distribution (exhaustive or sampled), and attaches the target
-    label. Trials that fail numerically are skipped and logged. Rows carry
-    meta keys "p", "seed" and "target". Exhaustive mode checks every p
-    against ``max_features`` before the first trial and raises
-    TooManyFeatures if one exceeds it.
+    label. A trial whose parameters cannot generate data redraws them (see
+    ``_generate_trial``), so every trial gets its data or the call raises
+    GenerationFailed; trials that then fail numerically are skipped and
+    logged. Rows carry meta keys "p", "seed" and "target". Exhaustive mode
+    checks every p against ``max_features`` before the first trial and
+    raises TooManyFeatures if one exceeds it.
     """
     config = config if config is not None else MeasureConfig()
     target = PredictTarget(target)
@@ -228,14 +261,15 @@ def build_training_set(
     rows = []
     for p in p_values:
         for trial in range(int(trials_per_p)):
-            trial_seed = stable_seed(int(seed), target.value, int(p), trial)
+            seed_parts = (int(seed), target.value, int(p), trial)
+            trial_seed = stable_seed(*seed_parts)
             rng = np.random.default_rng(trial_seed)
             with_confounders = bool(rng.integers(0, 2))
-            params = sample_benchmark_params(
-                p, n_samples, with_confounders, int(rng.integers(0, 2**63))
-            )
+            first_seed = int(rng.integers(0, 2**63))
             try:
-                data, truth = generate(params)
+                params, data, truth = _generate_trial(
+                    p, n_samples, with_confounders, first_seed, seed_parts
+                )
                 if path_mode is PathMode.EXHAUSTIVE:
                     dist = enumerate_paths(data, config, max_features=max_features)
                 else:
@@ -244,6 +278,8 @@ def build_training_set(
                     )
                 features = moment_features(dist)
                 label = _label_for(target, params, data, truth, config)
+            except GenerationFailed:
+                raise  # every parameter draw failed: not a numerical failure
             except Exception as error:  # noqa: BLE001 - per-trial isolation
                 log.warning(
                     "skipping trial p=%s index=%s: %s", p, trial, error

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PriorUnsatisfiable, ZeroVariance
+from .errors import PriorUnsatisfiable
 from .measures import (
     MeasureConfig,
     MeasureKind,
     knn_step_cost,
     plr_costs,
+    residualize,
     state_entropies,
     table_costs,
 )
@@ -39,23 +40,6 @@ class SearchResult:
     edges_evaluated: int
     states_expanded: int
     wall_time: float
-
-
-def residualize(columns, pos):
-    """Drop column ``pos``, regressing it out of every other column.
-
-    This is the single lattice transition: each remaining column x is
-    replaced by its least-squares residual x - b c on the chosen column c,
-    with b = cov(x, c) / var(c), all in one rank-1 update.
-    """
-    chosen = columns[:, pos]
-    centered = chosen - chosen.mean()
-    var = centered @ centered
-    if var == 0.0:
-        raise ZeroVariance(f"residual column {pos} is constant at this state")
-    kept = np.delete(columns, pos, axis=1)
-    kept -= chosen[:, None] * (centered @ kept / var)
-    return kept
 
 
 def _position(mask, feature):

@@ -1,0 +1,115 @@
+"""Plain reference implementations of the measures, used only by tests.
+
+- ``approx_entropy`` and ``plr``: the one-pair-at-a-time pairwise likelihood
+  ratio of Hyvarinen & Smith (JMLR 2013). Every sample is standardized and
+  its entropy approximated on its own, with log cosh written through
+  ``np.logaddexp``. It shares nothing with the blocked entropy kernel of
+  ``measures`` (behind ``plr_matrix`` and ``state_entropies``) except the
+  approximation's constants, so agreement between the two checks the
+  kernel's algebra and blocking.
+- ``residual``: one column regressed on another from population moments,
+  the per-column form of ``measures.residualize``.
+- ``ksg_mi``: the Kraskov-Stogbauer-Grassberger estimator from the full
+  matrix of max-norm distances, with no tree and no sorting, against which
+  ``measures.knn_mi`` must agree bit for bit.
+"""
+
+import math
+
+import numpy as np
+from scipy.special import digamma
+
+from pathlingam.errors import DegenerateCorrelation, ZeroVariance
+from pathlingam.measures import GAMMA, H_GAUSS, K1, K2
+
+LOG2 = math.log(2.0)
+
+
+def log_cosh(u):
+    # log(cosh(u)) = logaddexp(u, -u) - log 2; stable for large |u|.
+    return np.logaddexp(u, -u) - LOG2
+
+
+def approx_entropy(u):
+    """Maximum entropy approximation H_hat of a 1-D sample.
+
+    The input is standardized internally (population mean 0, variance 1).
+    The result never exceeds the Gaussian entropy H_GAUSS because both
+    correction terms are squared and subtracted.
+    """
+    u = np.asarray(u, dtype=float).ravel()
+    std = u.std()
+    if std == 0.0:
+        raise ZeroVariance("approx_entropy input is constant")
+    z = (u - u.mean()) / std
+    t1 = np.mean(log_cosh(z)) - GAMMA
+    t2 = np.mean(z * np.exp(-0.5 * z * z))
+    return float(H_GAUSS - K1 * t1 * t1 - K2 * t2 * t2)
+
+
+def plr(x, y):
+    """Pairwise likelihood ratio between the directions x -> y and y -> x.
+
+    Both inputs are standardized internally. Positive values favor x -> y.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.shape != y.shape:
+        raise ValueError("plr needs equal-length vectors")
+    sx = x.std()
+    sy = y.std()
+    if sx == 0.0 or sy == 0.0:
+        raise ZeroVariance("plr input is constant")
+    zx = (x - x.mean()) / sx
+    zy = (y - y.mean()) / sy
+    rho = float(np.mean(zx * zy))
+    if abs(rho) >= 1.0:
+        raise DegenerateCorrelation("|correlation| is 1")
+    d = zy - rho * zx
+    e = zx - rho * zy
+    if d.std() == 0.0 or e.std() == 0.0:
+        raise DegenerateCorrelation("residual has zero scale")
+    return (
+        -approx_entropy(zx) - approx_entropy(d)
+        + approx_entropy(zy) + approx_entropy(e)
+    )
+
+
+def residual(xi, xj):
+    """Least-squares residual of xi regressed on xj (population moments)."""
+    xi = np.asarray(xi, dtype=float)
+    xj = np.asarray(xj, dtype=float)
+    if xi.shape != xj.shape or xi.ndim != 1 or xi.size < 2:
+        raise ValueError("residual needs two equal-length vectors of size >= 2")
+    mj = xj.mean()
+    var = np.mean(xj * xj) - mj * mj
+    if var == 0.0:
+        raise ZeroVariance("regressor has zero variance")
+    cov = np.mean(xi * xj) - xi.mean() * mj
+    return xi - (cov / var) * xj
+
+
+def max_norm_distances(points):
+    """N x N matrix of max-norm distances between the rows of ``points``."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
+    return np.abs(points[None, :, :] - points[:, None, :]).max(axis=2)
+
+
+def ksg_mi(x_block, y, k):
+    """Kraskov mutual information I(x_block; y) from all pairwise distances.
+
+    eps_i is the distance from point i to its k-th nearest other point in
+    the joint space; n_x and n_y count the other points strictly closer
+    than eps_i in each marginal space.
+    """
+    y = np.asarray(y, dtype=float)
+    joint = max_norm_distances(np.column_stack([x_block, y]))
+    np.fill_diagonal(joint, np.inf)
+    eps = np.sort(joint, axis=1)[:, k - 1]
+    # Strict counts include the point itself when eps > 0; drop it.
+    n_x = np.maximum((max_norm_distances(x_block) < eps[:, None]).sum(axis=1) - 1, 0)
+    n_y = np.maximum((max_norm_distances(y) < eps[:, None]).sum(axis=1) - 1, 0)
+    mean_psi = np.mean(digamma(n_x + 1.0) + digamma(n_y + 1.0))
+    return float(digamma(k) - mean_psi + digamma(y.size))

@@ -41,7 +41,7 @@ from pathlingam.search import residualize, shortest_path_order
 from pathlingam.simgen import generate, sample_benchmark_params
 from pathlingam.util import stable_seed
 
-from plr_reference import plr
+from reference import plr
 
 
 # Straight-line reimplementation of a single path's cost, shared with the

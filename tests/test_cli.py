@@ -473,16 +473,29 @@ class TestManifest:
         assert results[0] == results[1]
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats costs more start-up time than everything else the CLI loads.
+def test_cli_import_does_not_load_scipy_stats(tmp_path):
+    # Loading scipy costs more start-up time than everything else the CLI
+    # loads, and only the kNN measure needs it: neither the import nor a
+    # PLR command may load any scipy module.
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    probe = "import sys, pathlingam.cli; print('scipy.stats' in sys.modules)"
+    probe = (
+        "import sys, pathlingam.cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(scipy_modules())\n"
+        "out = sys.argv[1]\n"
+        "assert pathlingam.cli.main(['gen', '--p', '4', '--n', '200',\n"
+        "                            '--seed', '3', '--out', out]) == 0\n"
+        "assert pathlingam.cli.main(['discover', '--data', out + '/data.csv',\n"
+        "                            '--out', out + '/order.json']) == 0\n"
+        "print(scipy_modules())\n"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-        check=True,
+        [sys.executable, "-c", probe, str(tmp_path)], env=env,
+        capture_output=True, text=True, check=True,
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
 def test_consecutive_commands_match_fresh_interpreters(tmp_path):

@@ -5,7 +5,9 @@ Oracles used here:
       entropy approximation on a known density
     - the analytic Gaussian mutual information -0.5*log(1 - rho^2) for the
       kNN estimator
-    - the scalar pairwise ratio of plr_reference for the blocked kernel, fed
+    - the brute-force max-norm estimator of ``reference`` for the kNN
+      estimator's neighbour counts, bit for bit
+    - the scalar pairwise ratio of ``reference`` for the blocked kernel, fed
       pairwise residuals by plr_matrix and lattice states by the entropy
       table
 """
@@ -33,13 +35,12 @@ from pathlingam.measures import (
     knn_step_cost,
     plr_costs,
     plr_matrix,
-    residual,
+    residualize,
     state_entropies,
     table_ratios,
 )
-from pathlingam.search import residualize
 
-from plr_reference import approx_entropy, plr
+from reference import approx_entropy, ksg_mi, plr, residual
 
 
 class TestKFromRule:
@@ -111,6 +112,7 @@ class TestApproxEntropy:
 
 
 class TestResidual:
+    # The per-column reference that ``residualize`` is checked against.
     def test_uncorrelated_with_regressor(self):
         rng = np.random.default_rng(20)
         xj = rng.standard_normal(300)
@@ -433,6 +435,70 @@ class TestKnnMi:
             knn_mi(x, y, 0)
         with pytest.raises(InvalidK):
             knn_mi(x, y, 50)
+
+
+def _knn_sample(kind, n, width, seed):
+    rng = np.random.default_rng(seed)
+    mixing = np.eye(width + 1) + rng.uniform(-0.7, 0.7, (width + 1, width + 1))
+    sample = rng.standard_t(5, (n, width + 1)) @ mixing
+    if kind == "integer":
+        sample = np.round(sample)
+    elif kind == "two_decimals":
+        sample = np.round(sample, 2)
+    return sample[:, :width], sample[:, width]
+
+
+class TestKnnMiExactness:
+    # Ties in the data put points exactly at the k-th neighbour distance,
+    # where the strict counts are decided.
+    @pytest.mark.parametrize("kind", ["continuous", "integer", "two_decimals"])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_matches_brute_force_for_every_k(self, kind, width):
+        n = 40
+        x_block, y = _knn_sample(kind, n, width, seed=100 + width)
+        for k in range(1, n):
+            assert knn_mi(x_block, y, k) == ksg_mi(x_block, y, k), k
+
+    def test_coincident_points_give_zero_counts(self):
+        # k + 1 coincident points put eps at 0, so the shrunk radius is
+        # negative and every count must come out as 0, as by brute force.
+        x = np.array([0.0] * 4 + [1.0, 2.5, 4.0, 4.5])
+        y = np.array([1.0] * 4 + [3.0, 0.5, 2.0, 1.5])
+        for k in range(1, x.size):
+            assert knn_mi(x, y, k) == ksg_mi(x, y, k), k
+
+
+@st.composite
+def _values_and_radii(draw):
+    n = draw(st.integers(1, 40))
+    scale = draw(st.sampled_from([1.0, 0.1, 0.01, 1e-3, 7.3]))
+    offset = draw(st.sampled_from([0.0, 0.3, -5.0, 1e6]))
+    steps = draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))
+    v = np.array(steps, dtype=float) * scale + offset
+    # Radii sit at an exact pairwise distance, one ulp either side of it,
+    # at 0, or below 0 (k + 1 coincident points shrink eps = 0 below 0).
+    radii = []
+    for i in range(n):
+        j = draw(st.integers(0, n - 1))
+        distance = abs(v[j] - v[i])
+        radii.append(draw(st.sampled_from([
+            distance,
+            np.nextafter(distance, -np.inf),
+            np.nextafter(distance, np.inf),
+            0.0,
+            np.nextafter(0.0, -np.inf),
+            -1.0,
+        ])))
+    return v, np.array(radii)
+
+
+class TestCountWithin:
+    @settings(max_examples=300, deadline=None)
+    @given(_values_and_radii())
+    def test_matches_brute_force(self, case):
+        v, r = case
+        expected = (np.abs(v[None, :] - v[:, None]) <= r[:, None]).sum(axis=1)
+        assert np.array_equal(measures._count_within(v, r), expected)
 
 
 class TestKnnStepCost:

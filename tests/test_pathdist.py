@@ -22,7 +22,7 @@ from pathlingam.pathdist import (
 from pathlingam.search import shortest_path_order
 from pathlingam.simgen import GenParams, generate
 
-from plr_reference import plr
+from reference import plr
 
 
 def _dataset(seed, p=3, n=400):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pathlingam.errors import EmptyTrainingSet, SingleClass
+from pathlingam import predict
+from pathlingam.errors import EmptyTrainingSet, GenerationFailed, SingleClass
+from pathlingam.pathdist import enumerate_paths, moment_features
 from pathlingam.predict import (
     BINARY_TARGETS,
     LabeledFeatures,
@@ -18,6 +20,8 @@ from pathlingam.predict import (
     knn_regress,
     roc_summary,
 )
+from pathlingam.simgen import generate, sample_benchmark_params
+from pathlingam.util import stable_seed
 
 
 def _row(features, label):
@@ -194,6 +198,43 @@ class TestBuildTrainingSet:
         )
         assert all(0.0 <= row.label <= 1.0 for row in rows)
         assert any(row.label not in (0.0, 1.0) for row in rows)
+
+    def test_failed_generation_redraws_the_parameters(self):
+        # Trial 89 of this grid draws parameters that cannot generate data.
+        rows = build_training_set("confounder", [4], 90, 2)
+        assert len(rows) == 90
+        # Every earlier trial generates on its first draw, so its row is the
+        # one drawn directly from the trial seed, recomputed here.
+        for trial, row in enumerate(rows):
+            trial_seed = stable_seed(2, "confounder", 4, trial)
+            rng = np.random.default_rng(trial_seed)
+            with_confounders = bool(rng.integers(0, 2))
+            params = sample_benchmark_params(
+                4, 1000, with_confounders, int(rng.integers(0, 2**63))
+            )
+            assert row.meta == {"p": 4, "seed": trial_seed, "target": "confounder"}
+            if trial == 89:
+                with pytest.raises(GenerationFailed):
+                    generate(params)
+                # The redraw keeps the trial's confounder coin.
+                assert with_confounders and row.label == 1.0
+                continue
+            data, _ = generate(params)
+            features = moment_features(enumerate_paths(data))
+            assert row.features == features.moments
+            assert row.label == float(with_confounders)
+
+    def test_exhausted_redraws_raise(self, monkeypatch):
+        calls = []
+
+        def failing(params):
+            calls.append(params.seed)
+            raise GenerationFailed("no loadings")
+
+        monkeypatch.setattr(predict, "generate", failing)
+        with pytest.raises(GenerationFailed):
+            build_training_set("confounder", [3], 2, 0)
+        assert len(set(calls)) == len(calls) == predict.GENERATION_ATTEMPTS
 
     def test_binary_target_registry(self):
         assert PredictTarget.CONFOUNDER in BINARY_TARGETS

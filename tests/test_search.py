@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathlingam.errors import ZeroVariance
-from pathlingam.measures import MeasureConfig, MeasureKind, plr_costs, residual
+from pathlingam.measures import MeasureConfig, MeasureKind, plr_costs
 from pathlingam.model import PriorKnowledge, expand_prior
+from pathlingam.pathdist import enumerate_paths
 from pathlingam.search import (
     Lattice,
     TableLattice,
@@ -27,7 +28,7 @@ from pathlingam.search import (
 )
 from pathlingam.simgen import GenParams, generate
 
-from plr_reference import plr
+from reference import plr, residual
 
 
 def _standardize(values):
@@ -129,6 +130,53 @@ class TestGreedyAgainstSpp:
                 f for f in costs if costs[f] == cost
             )  # tie goes to the lower index
             mask &= ~(1 << feature)
+
+
+_PLR = MeasureConfig()
+_KNN = MeasureConfig(MeasureKind.KNN_MI)
+
+
+@st.composite
+def _search_cases(draw):
+    """A small seeded dataset with its measure, and a satisfiable prior."""
+    config = draw(st.sampled_from([_PLR, _KNN]))
+    p = draw(st.integers(2, 5 if config is _PLR else 4))
+    data, _ = _dataset(
+        draw(st.integers(0, 2**32 - 1)),
+        p=p,
+        n=300 if config is _PLR else 200,
+        sparsity=draw(st.sampled_from([0.0, 0.4, 0.8])),
+        confounders=draw(st.integers(0, 1)),
+    )
+    # Pairs that agree with one permutation can always be satisfied.
+    permutation = draw(st.permutations(range(p)))
+    pairs = [
+        (permutation[i], permutation[j])
+        for i in range(p) for j in range(i + 1, p)
+    ]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+    return data, config, PriorKnowledge(frozenset(chosen))
+
+
+class TestSearchProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(_search_cases())
+    def test_spp_is_the_enumerated_minimum_and_beats_greedy(self, case):
+        data, config, _ = case
+        spp = shortest_path_order(data, config).order.total_cost
+        assert spp <= direct_lingam_order(data, config).order.total_cost
+        best = min(enumerate_paths(data, config).lengths)
+        assert spp == pytest.approx(best, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_search_cases())
+    def test_prior_is_respected_and_only_raises_the_total(self, case):
+        data, config, prior = case
+        free = shortest_path_order(data, config).order
+        constrained = shortest_path_order(data, config, prior).order
+        for a, b in prior.pairs:
+            assert constrained.order.index(a) < constrained.order.index(b)
+        assert constrained.total_cost >= free.total_cost
 
 
 class TestAccounting:
