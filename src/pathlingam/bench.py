@@ -6,9 +6,9 @@ stable hash of the cell coordinates plus the trial index, so any cell can be
 reproduced in isolation and results are independent of execution order.
 """
 
+import itertools
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,7 +19,7 @@ from .metrics import ordering_error
 from .model import expand_prior
 from .search import direct_lingam_order, shortest_path_order
 from .simgen import generate, sample_benchmark_params
-from .util import stable_seed
+from .util import map_tasks, stable_seed
 
 log = logging.getLogger(__name__)
 
@@ -41,7 +41,6 @@ class BenchConfig:
     with_confounders: str = "false"
     prior_fracs: tuple = (0.0,)
     seed: int = 0
-    parallelism: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "p_values", tuple(int(p) for p in self.p_values))
@@ -54,12 +53,12 @@ class BenchConfig:
         )
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if not (self.p_values and self.n_values and self.methods and self.prior_fracs):
+            raise ValueError("the grid needs at least one cell")
         if self.with_confounders not in ("both", "true", "false"):
             raise ValueError("with_confounders must be both, true or false")
         if any(not 0.0 <= f <= 1.0 for f in self.prior_fracs):
             raise ValueError("prior fractions must lie in [0, 1]")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
 
     def confounded_values(self):
         if self.with_confounders == "both":
@@ -147,62 +146,33 @@ def trial_seed(config_seed, p, n, method, confounded, prior_frac, index):
     )
 
 
-def run_benchmark(config):
-    """Run every cell of the grid; identical config gives identical cells.
+def run_benchmark(config, jobs=1):
+    """Run every cell of the grid over ``jobs`` worker processes; identical
+    config gives identical cells, whatever ``jobs`` is.
 
     Per-trial failures are logged and excluded from the aggregates; cells
     where more than 10% of trials failed report ``valid`` False.
     """
-    cells = []
-    with _pool(config.parallelism) as run_tasks:
-        for p in config.p_values:
-            for n in config.n_values:
-                for method in config.methods:
-                    for confounded in config.confounded_values():
-                        for frac in config.prior_fracs:
-                            tasks = [
-                                (
-                                    method, p, n, confounded, frac,
-                                    trial_seed(
-                                        config.seed, p, n, method,
-                                        confounded, frac, index,
-                                    ),
-                                )
-                                for index in range(config.trials)
-                            ]
-                            outcomes = [r for r in run_tasks(tasks)]
-                            good = [r for r in outcomes if r is not None]
-                            cells.append(_aggregate(
-                                good, len(outcomes) - len(good),
-                                method, p, n, confounded, frac,
-                            ))
-    return cells
+    cells = list(itertools.product(
+        config.p_values, config.n_values, config.methods,
+        config.confounded_values(), config.prior_fracs,
+    ))
+    tasks = [
+        (method, p, n, confounded, frac,
+         trial_seed(config.seed, p, n, method, confounded, frac, index))
+        for p, n, method, confounded, frac in cells
+        for index in range(config.trials)
+    ]
+    outcomes = map_tasks(_run_trial_task, tasks, jobs)
+    results = []
+    for index, cell in enumerate(cells):
+        chunk = outcomes[index * config.trials:(index + 1) * config.trials]
+        good = [r for r in chunk if r is not None]
+        results.append(_aggregate(good, len(chunk) - len(good), *cell))
+    return results
 
 
-class _pool:
-    # Sequential fallback keeps single-worker runs free of process overhead.
-    def __init__(self, workers):
-        self.workers = int(workers)
-        self.executor = None
-
-    def __enter__(self):
-        if self.workers > 1:
-            self.executor = ProcessPoolExecutor(max_workers=self.workers)
-            self.executor.__enter__()
-        return self._run
-
-    def _run(self, tasks):
-        if self.executor is None:
-            return [_run_trial_task(t) for t in tasks]
-        return list(self.executor.map(_run_trial_task, tasks))
-
-    def __exit__(self, *exc):
-        if self.executor is not None:
-            return self.executor.__exit__(*exc)
-        return False
-
-
-def _aggregate(good, failed, method, p, n, confounded, frac):
+def _aggregate(good, failed, p, n, method, confounded, frac):
     if good:
         eo = float(np.mean([g[0] for g in good]))
         runtime = float(np.mean([g[1] for g in good]))

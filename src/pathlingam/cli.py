@@ -1,17 +1,20 @@
 """Command line front end.
 
 Every subcommand accepts ``--config file.json`` holding values for its
-options; options passed on the command line win over the file, and the file
-wins over built-in defaults. Each successful run ends by atomically writing
-a ``manifest.json`` next to its first output, recording the command, a
-digest of the fully resolved configuration, the tool version, timestamps
-and the files written.
+options, declared once in ``OPTIONS``: a config value goes through its
+option's type and choices as a flag's text does. Options passed on the
+command line win over the file, and the file wins over built-in defaults.
+Each successful run ends by atomically writing a ``manifest.json`` next to
+its first output, recording the command, a digest of the fully resolved
+configuration, the tool version, timestamps and the files written.
 
 Exit codes: 0 success, 2 invalid input, 3 infeasible prior knowledge,
-4 feature-count cap exceeded, 5 numeric failure.
+4 feature-count cap exceeded, 5 numeric failure (``exit_code`` of each
+domain error).
 """
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -19,30 +22,15 @@ import logging
 import math
 import os
 import sys
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .adjacency import estimate_adjacency
 from .bench import BenchConfig, run_benchmark
-from .errors import (
-    CyclicPrior,
-    DegenerateCorrelation,
-    DegenerateDistribution,
-    EmptyTrainingSet,
-    GenerationFailed,
-    InvalidK,
-    LengthMismatch,
-    PriorUnsatisfiable,
-    SingleClass,
-    SingularDesign,
-    TooManyFeatures,
-    ZeroVariance,
-    ZeroVarianceColumn,
-)
+from .errors import EmptyTrainingSet, PathLingamError
 from .measures import KRule, MeasureConfig, MeasureKind
 from .model import Dataset, expand_prior
 from .pathdist import (
@@ -67,9 +55,13 @@ from .predict import (
 )
 from .search import direct_lingam_order, shortest_path_order
 from .simgen import GenParams, generate
-from .util import json_ready, read_matrix_csv, write_json_atomic, write_matrix_csv
-
-JOBS_ENV = "PATHLINGAM_JOBS"
+from .util import (
+    _write_atomic,
+    map_tasks,
+    read_matrix_csv,
+    write_json_atomic,
+    write_matrix_csv,
+)
 
 _SEARCHERS = {
     "spp-plr": (shortest_path_order, MeasureKind.PLR),
@@ -77,57 +69,107 @@ _SEARCHERS = {
     "spp-knn": (shortest_path_order, MeasureKind.KNN_MI),
 }
 _MEASURES = {"plr": MeasureKind.PLR, "knn": MeasureKind.KNN_MI}
-_MODES = {
-    "exhaustive": PathMode.EXHAUSTIVE,
-    "sample": PathMode.SAMPLED,
-    "sampled": PathMode.SAMPLED,
-}
+_MODES = {"exhaustive": PathMode.EXHAUSTIVE, "sample": PathMode.SAMPLED}
 
-# Values every option falls back to; None marks required options.
-DEFAULTS = {
-    "gen": {
-        "p": None, "n": None, "sparsity": 0.0, "confounders": 0,
-        "confoundedness": 0.0, "strength_exp": 1.0,
-        "noise_family": "standard12", "seed": 0, "out": ".",
-    },
-    "discover": {
-        "data": None, "method": "spp-plr", "k_rule": "sqrt", "prior": None,
-        "adjacency": False, "out": "result.json",
-    },
-    "pathdist": {
-        "data": None, "mode": "exhaustive", "samples": 1000, "seed": 0,
-        "max_features": ENUMERATION_CAP, "measure": "plr", "k_rule": "sqrt",
-        "out": "pathdist.json",
-    },
-    "features": {
-        "dist": None, "log_epsilon": LOG_EPSILON, "out": "features.json",
-    },
-    "train": {
-        "target": None, "p": "4,5,6", "trials_per_p": 100, "seed": 0,
-        "n_samples": 1000, "path_mode": "exhaustive", "path_samples": 1000,
-        "max_features": None, "measure": "plr", "k_rule": "sqrt", "k": None,
-        "jobs": None, "out": "training.jsonl", "model": None,
-    },
-    "predict": {
-        "model": None, "features": None, "k": None, "out": "prediction.json",
-    },
-    "eval": {"model": None, "test": None, "k": None, "out": "roc.json"},
-    "bench": {
-        "p": None, "n": "1000", "trials": 10,
-        "methods": "spp-plr,direct-plr", "with_confounders": "false",
-        "prior_fracs": "0", "seed": 0, "jobs": None, "out": ".",
-    },
-}
 
-REQUIRED = {
-    "gen": ("p", "n"),
-    "discover": ("data",),
-    "pathdist": ("data",),
-    "features": ("dist",),
-    "train": ("target",),
-    "predict": ("model", "features"),
-    "eval": ("model", "test"),
-    "bench": ("p",),
+def _comma_list(value):
+    """A list option's value as the comma-separated text its flag takes."""
+    if isinstance(value, list):
+        return ",".join(str(part) for part in value)
+    return str(value)
+
+
+class Option(NamedTuple):
+    """One option: ``--name-with-dashes`` on the command line, ``name`` in
+    a --config file. ``type`` converts a flag's text or a config value."""
+
+    name: str
+    type: object = str
+    default: object = None
+    required: bool = False
+    choices: tuple = None
+    help: str = None
+
+
+_K_RULE = Option("k_rule", default="sqrt", choices=tuple(sorted(r.value for r in KRule)))
+_MEASURE = Option("measure", default="plr", choices=tuple(sorted(_MEASURES)))
+
+OPTIONS = {
+    "gen": (
+        Option("p", int, required=True, help="number of observed features"),
+        Option("n", int, required=True, help="number of samples"),
+        Option("sparsity", float, 0.0),
+        Option("confounders", int, 0, help="number of latent confounders"),
+        Option("confoundedness", float, 0.0),
+        Option("strength_exp", float, 1.0, help="confounder scale exponent s in 10^s"),
+        Option("noise_family", default="standard12"),
+        Option("seed", int, 0),
+        Option("out", default=".", help="output directory"),
+    ),
+    "discover": (
+        Option("data", required=True, help="input CSV with a header row"),
+        Option("method", default="spp-plr", choices=tuple(sorted(_SEARCHERS))),
+        _K_RULE,
+        Option("prior", help="JSON file: list of known index orderings"),
+        Option("adjacency", bool, False, help="also estimate the coefficient matrix"),
+        Option("out", default="result.json"),
+    ),
+    "pathdist": (
+        Option("data", required=True),
+        Option("mode", default="exhaustive", choices=tuple(_MODES)),
+        Option("samples", int, 1000),
+        Option("seed", int, 0),
+        Option("max_features", int, ENUMERATION_CAP),
+        _MEASURE,
+        _K_RULE,
+        Option("out", default="pathdist.json"),
+    ),
+    "features": (
+        Option("dist", required=True, help="pathdist JSON file"),
+        Option("log_epsilon", float, LOG_EPSILON),
+        Option("out", default="features.json"),
+    ),
+    "train": (
+        Option("target", required=True,
+               choices=tuple(sorted(t.value for t in PredictTarget))),
+        Option("p", _comma_list, "4,5,6", help="comma-separated feature counts"),
+        Option("trials_per_p", int, 100),
+        Option("seed", int, 0),
+        Option("n_samples", int, 1000),
+        Option("path_mode", default="exhaustive", choices=tuple(_MODES)),
+        Option("path_samples", int, 1000),
+        Option("max_features", int),
+        _MEASURE,
+        _K_RULE,
+        Option("k", int, help="neighbor count stored in the model"),
+        Option("jobs", int),
+        Option("out", default="training.jsonl", help="training JSONL path"),
+        Option("model", help="also write a model JSON here"),
+    ),
+    "predict": (
+        Option("model", required=True),
+        Option("features", required=True, help="features JSON or JSONL of rows"),
+        Option("k", int),
+        Option("out", default="prediction.json"),
+    ),
+    "eval": (
+        Option("model", required=True),
+        Option("test", required=True, help="labeled JSONL of held-out rows"),
+        Option("k", int),
+        Option("out", default="roc.json"),
+    ),
+    "bench": (
+        Option("p", _comma_list, required=True, help="comma-separated feature counts"),
+        Option("n", _comma_list, "1000", help="comma-separated sample sizes"),
+        Option("trials", int, 10),
+        Option("methods", _comma_list, "spp-plr,direct-plr",
+               help="comma-separated method names"),
+        Option("with_confounders", default="false", choices=("both", "true", "false")),
+        Option("prior_fracs", _comma_list, "0", help="comma-separated fractions"),
+        Option("seed", int, 0),
+        Option("jobs", int),
+        Option("out", default=".", help="output directory"),
+    ),
 }
 
 
@@ -145,151 +187,70 @@ def build_parser():
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help_text):
-        cmd = sub.add_parser(name, help=help_text)
+    for command, options in OPTIONS.items():
+        cmd = sub.add_parser(command, help=COMMANDS[command].__doc__)
         cmd.add_argument("--config", help="JSON file with option values")
-        return cmd
-
-    gen = command("gen", "simulate a dataset and write it with its ground truth")
-    gen.add_argument("--p", type=int, help="number of observed features")
-    gen.add_argument("--n", type=int, help="number of samples")
-    gen.add_argument("--sparsity", type=float)
-    gen.add_argument("--confounders", type=int, help="number of latent confounders")
-    gen.add_argument("--confoundedness", type=float)
-    gen.add_argument("--strength-exp", type=float, help="confounder scale exponent s in 10^s")
-    gen.add_argument("--noise-family")
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--out", help="output directory")
-
-    disc = command("discover", "estimate a causal ordering from a CSV")
-    disc.add_argument("--data", help="input CSV with a header row")
-    disc.add_argument("--method", choices=sorted(_SEARCHERS))
-    disc.add_argument("--k-rule", choices=sorted(r.value for r in KRule))
-    disc.add_argument("--prior", help="JSON file: list of known index orderings")
-    disc.add_argument("--adjacency", action=argparse.BooleanOptionalAction,
-                      help="also estimate the coefficient matrix")
-    disc.add_argument("--out")
-
-    dist = command("pathdist", "enumerate or sample causal-path total costs")
-    dist.add_argument("--data")
-    dist.add_argument("--mode", choices=("exhaustive", "sample"))
-    dist.add_argument("--samples", type=int)
-    dist.add_argument("--seed", type=int)
-    dist.add_argument("--max-features", type=int)
-    dist.add_argument("--measure", choices=sorted(_MEASURES))
-    dist.add_argument("--k-rule", choices=sorted(r.value for r in KRule))
-    dist.add_argument("--out")
-
-    feat = command("features", "reduce a path distribution to moment features")
-    feat.add_argument("--dist", help="pathdist JSON file")
-    feat.add_argument("--log-epsilon", type=float)
-    feat.add_argument("--out")
-
-    train = command("train", "build a labeled moment-feature training set")
-    train.add_argument("--target", choices=sorted(t.value for t in PredictTarget))
-    train.add_argument("--p", help="comma-separated feature counts")
-    train.add_argument("--trials-per-p", type=int)
-    train.add_argument("--seed", type=int)
-    train.add_argument("--n-samples", type=int)
-    train.add_argument("--path-mode", choices=("exhaustive", "sample"))
-    train.add_argument("--path-samples", type=int)
-    train.add_argument("--max-features", type=int)
-    train.add_argument("--measure", choices=sorted(_MEASURES))
-    train.add_argument("--k-rule", choices=sorted(r.value for r in KRule))
-    train.add_argument("--k", type=int, help="neighbor count stored in the model")
-    train.add_argument("--jobs", type=int)
-    train.add_argument("--out", help="training JSONL path")
-    train.add_argument("--model", help="also write a model JSON here")
-
-    pred = command("predict", "score feature vectors with a stored model")
-    pred.add_argument("--model")
-    pred.add_argument("--features", help="features JSON or JSONL of rows")
-    pred.add_argument("--k", type=int)
-    pred.add_argument("--out")
-
-    ev = command("eval", "ROC metrics of a stored model on a labeled JSONL")
-    ev.add_argument("--model")
-    ev.add_argument("--test", help="labeled JSONL of held-out rows")
-    ev.add_argument("--k", type=int)
-    ev.add_argument("--out")
-
-    bench = command("bench", "run the benchmark grid")
-    bench.add_argument("--p", help="comma-separated feature counts")
-    bench.add_argument("--n", help="comma-separated sample sizes")
-    bench.add_argument("--trials", type=int)
-    bench.add_argument("--methods", help="comma-separated method names")
-    bench.add_argument("--with-confounders", choices=("both", "true", "false"))
-    bench.add_argument("--prior-fracs", help="comma-separated fractions")
-    bench.add_argument("--seed", type=int)
-    bench.add_argument("--jobs", type=int)
-    bench.add_argument("--out", help="output directory")
-
+        for option in options:
+            flag = "--" + option.name.replace("_", "-")
+            if option.type is bool:
+                cmd.add_argument(flag, action=argparse.BooleanOptionalAction,
+                                 help=option.help)
+            else:
+                cmd.add_argument(flag, type=option.type, choices=option.choices,
+                                 help=option.help)
     return parser
 
 
 def _resolve(args):
     """Merge built-in defaults, the --config file and explicit flags."""
-    command = args.command
-    values = dict(DEFAULTS[command])
+    options = {option.name: option for option in OPTIONS[args.command]}
+    values = {name: option.default for name, option in options.items()}
     if args.config is not None:
         with open(args.config, encoding="utf-8") as handle:
             loaded = json.load(handle)
         if not isinstance(loaded, dict):
             raise ValueError("--config must hold a JSON object")
-        unknown = sorted(set(loaded) - set(values))
+        unknown = sorted(set(loaded) - set(options))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        values.update(loaded)
-    for key in values:
-        passed = getattr(args, key, None)
+        for name, value in loaded.items():
+            values[name] = _convert(options[name], value)
+    for name, option in options.items():
+        passed = getattr(args, name)
         if passed is not None:
-            values[key] = passed
-    for key in REQUIRED[command]:
-        if values[key] is None:
-            raise ValueError(f"missing required option --{key.replace('_', '-')}")
+            values[name] = passed
+        if option.required and values[name] is None:
+            raise ValueError(f"missing required option --{name.replace('_', '-')}")
     return values
 
 
-def _str_list(value):
-    if isinstance(value, str):
-        parts = [part.strip() for part in value.split(",")]
-        return [part for part in parts if part]
-    if isinstance(value, (int, float)):
-        return [value]
-    return list(value)
+def _convert(option, value):
+    """A config value as its flag would give it. Null is taken only by an
+    option whose default is unset, and true or false only by a bool option."""
+    if value is None and option.default is None:
+        return None
+    try:
+        if value is None or isinstance(value, bool) != (option.type is bool):
+            raise TypeError
+        converted = option.type(value)
+        if option.choices is not None and converted not in option.choices:
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ValueError(f"config key {option.name}: invalid value {value!r}") from None
+    return converted
 
 
-def _int_list(value):
-    return [int(part) for part in _str_list(value)]
-
-
-def _float_list(value):
-    return [float(part) for part in _str_list(value)]
+def _split(text, kind=str):
+    """The entries of a comma-separated list option, converted by ``kind``."""
+    return [kind(part.strip()) for part in text.split(",") if part.strip()]
 
 
 def _jobs(values):
-    jobs = values.get("jobs")
-    if jobs is None:
-        jobs = os.environ.get(JOBS_ENV, 1)
-    jobs = int(jobs)
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    return jobs
-
-
-def _path_mode(name):
-    try:
-        return _MODES[str(name)]
-    except KeyError:
-        raise ValueError(f"unknown mode {name!r}") from None
+    return 1 if values["jobs"] is None else values["jobs"]
 
 
 def _measure_config(values):
-    measure = str(values["measure"])
-    if measure not in _MEASURES:
-        raise ValueError(f"unknown measure {measure!r}")
-    return MeasureConfig(_MEASURES[measure], KRule(str(values["k_rule"])))
+    return MeasureConfig(_MEASURES[values["measure"]], KRule(values["k_rule"]))
 
 
 def _load_dataset(path):
@@ -298,22 +259,14 @@ def _load_dataset(path):
 
 
 def _write_jsonl(path, rows):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            for row in rows:
-                record = {
-                    "features": list(row.features),
-                    "label": row.label,
-                    "meta": json_ready(row.meta),
-                }
-                handle.write(json.dumps(record) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, "".join(
+        json.dumps({
+            "features": list(row.features),
+            "label": row.label,
+            "meta": row.meta,
+        }) + "\n"
+        for row in rows
+    ))
 
 
 def _read_jsonl(path):
@@ -370,18 +323,19 @@ def _load_queries(path):
 
 
 def cmd_gen(values):
+    """simulate a dataset and write it with its ground truth"""
     params = GenParams(
-        p=int(values["p"]),
-        n_samples=int(values["n"]),
-        sparsity=float(values["sparsity"]),
-        n_confounders=int(values["confounders"]),
-        confoundedness=float(values["confoundedness"]),
-        confounding_strength_exp=float(values["strength_exp"]),
-        noise_family=str(values["noise_family"]),
-        seed=int(values["seed"]),
+        p=values["p"],
+        n_samples=values["n"],
+        sparsity=values["sparsity"],
+        n_confounders=values["confounders"],
+        confoundedness=values["confoundedness"],
+        confounding_strength_exp=values["strength_exp"],
+        noise_family=values["noise_family"],
+        seed=values["seed"],
     )
     data, truth = generate(params)
-    out = str(values["out"])
+    out = values["out"]
     os.makedirs(out, exist_ok=True)
     data_path = os.path.join(out, "data.csv")
     truth_path = os.path.join(out, "truth.json")
@@ -390,21 +344,19 @@ def cmd_gen(values):
         "B": truth.b,
         "Lambda": truth.lam,
         "true_order": truth.true_order,
-        "params": params.to_json(),
+        "params": dataclasses.asdict(params),
     })
     return [data_path, truth_path]
 
 
 def cmd_discover(values):
-    data = _load_dataset(str(values["data"]))
-    method = str(values["method"])
-    if method not in _SEARCHERS:
-        raise ValueError(f"unknown method {method!r}")
-    search, kind = _SEARCHERS[method]
-    config = MeasureConfig(kind, KRule(str(values["k_rule"])))
+    """estimate a causal ordering from a CSV"""
+    data = _load_dataset(values["data"])
+    search, kind = _SEARCHERS[values["method"]]
+    config = MeasureConfig(kind, KRule(values["k_rule"]))
     prior = None
     if values["prior"] is not None:
-        with open(str(values["prior"]), encoding="utf-8") as handle:
+        with open(values["prior"], encoding="utf-8") as handle:
             sequences = json.load(handle)
         if not isinstance(sequences, list):
             raise ValueError("prior file must hold a list of index sequences")
@@ -419,87 +371,74 @@ def cmd_discover(values):
     if values["adjacency"]:
         payload["b_hat"] = estimate_adjacency(data, result.order.order).b_hat
     payload["runtime_ms"] = result.wall_time * 1000.0
-    write_json_atomic(str(values["out"]), payload)
-    return [str(values["out"])]
+    write_json_atomic(values["out"], payload)
+    return [values["out"]]
 
 
 def cmd_pathdist(values):
-    data = _load_dataset(str(values["data"]))
+    """enumerate or sample causal-path total costs"""
+    data = _load_dataset(values["data"])
     config = _measure_config(values)
-    mode = _path_mode(values["mode"])
-    if mode is PathMode.EXHAUSTIVE:
-        dist = enumerate_paths(
-            data, config, max_features=int(values["max_features"])
-        )
+    if _MODES[values["mode"]] is PathMode.EXHAUSTIVE:
+        dist = enumerate_paths(data, config, max_features=values["max_features"])
     else:
-        dist = sample_paths(
-            data, config, int(values["samples"]), int(values["seed"])
-        )
+        dist = sample_paths(data, config, values["samples"], values["seed"])
     write_json_atomic(
-        str(values["out"]),
+        values["out"],
         {"mode": dist.mode.value, "lengths": list(dist.lengths)},
     )
-    return [str(values["out"])]
+    return [values["out"]]
 
 
 def cmd_features(values):
-    with open(str(values["dist"]), encoding="utf-8") as handle:
+    """reduce a path distribution to moment features"""
+    with open(values["dist"], encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict) or "lengths" not in payload or "mode" not in payload:
         raise ValueError("distribution file needs mode and lengths keys")
-    lengths = tuple(payload["lengths"])
-    dist = PathDistribution(lengths, PathMode(payload["mode"]), len(lengths))
-    feats = moment_features(dist, float(values["log_epsilon"]))
+    dist = PathDistribution(tuple(payload["lengths"]), PathMode(payload["mode"]))
+    feats = moment_features(dist, values["log_epsilon"])
     write_json_atomic(
-        str(values["out"]),
+        values["out"],
         {"log_epsilon": feats.log_epsilon, "moments": list(feats.moments)},
     )
-    return [str(values["out"])]
-
-
-def _train_chunk(call):
-    target, p_values, trials, seed, kwargs = call
-    return build_training_set(target, p_values, trials, seed, **kwargs)
+    return [values["out"]]
 
 
 def cmd_train(values):
-    target = PredictTarget(str(values["target"]))
-    p_values = _int_list(values["p"])
+    """build a labeled moment-feature training set"""
+    target = PredictTarget(values["target"])
+    p_values = _split(values["p"], int)
     kwargs = {
         "config": _measure_config(values),
-        "path_mode": _path_mode(values["path_mode"]),
-        "n_samples": int(values["n_samples"]),
-        "path_samples": int(values["path_samples"]),
+        "path_mode": _MODES[values["path_mode"]],
+        "n_samples": values["n_samples"],
+        "path_samples": values["path_samples"],
         "max_features": (
             ENUMERATION_CAP if values["max_features"] is None
-            else int(values["max_features"])
+            else values["max_features"]
         ),
     }
-    trials = int(values["trials_per_p"])
-    seed = int(values["seed"])
-    jobs = _jobs(values)
     check_enumeration_cap(p_values, kwargs["path_mode"], kwargs["max_features"])
-    if jobs > 1 and len(p_values) > 1:
-        # Trial seeds depend only on (seed, target, p, index), so a per-p
-        # split reproduces the sequential rows exactly.
-        calls = [(target, (p,), trials, seed, kwargs) for p in p_values]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(calls))) as pool:
-            chunks = list(pool.map(_train_chunk, calls))
-        rows = [row for chunk in chunks for row in chunk]
-    else:
-        rows = build_training_set(target, p_values, trials, seed, **kwargs)
+    # Trial seeds depend only on (seed, target, p, index), so one task per p
+    # reproduces the rows of a single call over the whole grid.
+    train_p = functools.partial(
+        build_training_set, target, trials_per_p=values["trials_per_p"],
+        seed=values["seed"], **kwargs,
+    )
+    chunks = map_tasks(train_p, [(p,) for p in p_values], _jobs(values))
+    rows = [row for chunk in chunks for row in chunk]
     if not rows:
         raise EmptyTrainingSet("no trial produced a usable row")
-    outputs = [str(values["out"])]
+    outputs = [values["out"]]
     _write_jsonl(outputs[0], rows)
     if values["model"] is not None:
         features = np.array([row.features for row in rows], dtype=float)
         mean = features.mean(axis=0)
         std = features.std(axis=0)
         std[std == 0.0] = 1.0
-        k = int(values["k"]) if values["k"] is not None else default_k(len(rows))
-        model_path = str(values["model"])
-        write_json_atomic(model_path, {
+        k = values["k"] if values["k"] is not None else default_k(len(rows))
+        write_json_atomic(values["model"], {
             "target": target.value,
             "k": k,
             "feature_mean": mean,
@@ -507,41 +446,43 @@ def cmd_train(values):
             "features": features,
             "labels": [row.label for row in rows],
         })
-        outputs.append(model_path)
+        outputs.append(values["model"])
     return outputs
 
 
 def cmd_predict(values):
-    rows, target, model_k = _load_model(str(values["model"]))
-    queries = _load_queries(str(values["features"]))
-    k = int(values["k"]) if values["k"] is not None else model_k
+    """score feature vectors with a stored model"""
+    rows, target, model_k = _load_model(values["model"])
+    queries = _load_queries(values["features"])
+    k = values["k"] if values["k"] is not None else model_k
     score = knn_classify if target in BINARY_TARGETS else knn_regress
     scores = [score(rows, query, k) for query in queries]
     write_json_atomic(
-        str(values["out"]),
+        values["out"],
         {"target": target.value, "k": k, "scores": scores},
     )
-    return [str(values["out"])]
+    return [values["out"]]
 
 
 def cmd_eval(values):
-    rows, target, model_k = _load_model(str(values["model"]))
+    """ROC metrics of a stored model on a labeled JSONL"""
+    rows, target, model_k = _load_model(values["model"])
     if target not in BINARY_TARGETS:
         raise ValueError(f"target {target.value} is not binary; no ROC")
-    test = _read_jsonl(str(values["test"]))
+    test = _read_jsonl(values["test"])
     if not test:
         raise ValueError("test file holds no rows")
-    k = int(values["k"]) if values["k"] is not None else model_k
+    k = values["k"] if values["k"] is not None else model_k
     scored = [(knn_classify(rows, row.features, k), row.label) for row in test]
     summary = roc_summary(scored)
-    write_json_atomic(str(values["out"]), {
+    write_json_atomic(values["out"], {
         "auc": summary.auc,
         "optimal_threshold": summary.optimal_threshold,
         "precision": summary.precision,
         "recall": summary.recall,
         "accuracy": summary.accuracy,
     })
-    return [str(values["out"])]
+    return [values["out"]]
 
 
 def _cell_record(cell):
@@ -560,20 +501,12 @@ def _cell_record(cell):
     }
 
 
-_CELL_COLUMNS = (
-    "method", "p", "n", "confounded", "prior_frac", "trials",
-    "failed_trials", "mean_eo", "mean_runtime", "mean_edges", "valid",
-)
-
-
-def _write_cells_csv(path, cells):
+def _write_cells_csv(path, records):
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(_CELL_COLUMNS) + "\n")
-        for cell in cells:
-            record = _cell_record(cell)
+        handle.write(",".join(records[0]) + "\n")
+        for record in records:
             fields = []
-            for column in _CELL_COLUMNS:
-                value = record[column]
+            for value in record.values():
                 if value is None:
                     fields.append("nan")
                 elif isinstance(value, bool):
@@ -603,23 +536,24 @@ def _cells_table(cells):
 
 
 def cmd_bench(values):
+    """run the benchmark grid"""
     config = BenchConfig(
-        p_values=_int_list(values["p"]),
-        n_values=_int_list(values["n"]),
-        trials=int(values["trials"]),
-        methods=tuple(_str_list(values["methods"])),
-        with_confounders=str(values["with_confounders"]),
-        prior_fracs=_float_list(values["prior_fracs"]),
-        seed=int(values["seed"]),
-        parallelism=_jobs(values),
+        p_values=_split(values["p"], int),
+        n_values=_split(values["n"], int),
+        trials=values["trials"],
+        methods=_split(values["methods"]),
+        with_confounders=values["with_confounders"],
+        prior_fracs=_split(values["prior_fracs"], float),
+        seed=values["seed"],
     )
-    cells = run_benchmark(config)
-    out = str(values["out"])
+    cells = run_benchmark(config, _jobs(values))
+    out = values["out"]
     os.makedirs(out, exist_ok=True)
     cells_json = os.path.join(out, "cells.json")
     cells_csv = os.path.join(out, "cells.csv")
-    write_json_atomic(cells_json, [_cell_record(cell) for cell in cells])
-    _write_cells_csv(cells_csv, cells)
+    records = [_cell_record(cell) for cell in cells]
+    write_json_atomic(cells_json, records)
+    _write_cells_csv(cells_csv, records)
     print(_cells_table(cells))
     return [cells_json, cells_csv]
 
@@ -672,30 +606,11 @@ def main(argv=None):
         values = _resolve(args)
         outputs = COMMANDS[args.command](values)
         _write_manifest(args.command, values, outputs, started)
-    except (PriorUnsatisfiable, CyclicPrior) as error:
-        return _fail(error, 3)
-    except TooManyFeatures as error:
-        return _fail(error, 4)
-    except ZeroVarianceColumn as error:
-        return _fail(error, 2)
-    except (
-        ZeroVariance,
-        DegenerateCorrelation,
-        DegenerateDistribution,
-        GenerationFailed,
-        SingleClass,
-        SingularDesign,
-        np.linalg.LinAlgError,
-    ) as error:
+    except PathLingamError as error:
+        return _fail(error, error.exit_code)
+    except np.linalg.LinAlgError as error:
         return _fail(error, 5)
-    except (
-        ValueError,
-        OSError,
-        KeyError,
-        LengthMismatch,
-        InvalidK,
-        EmptyTrainingSet,
-    ) as error:
+    except (ValueError, OSError, KeyError, TypeError) as error:
         return _fail(error, 2)
     return 0
 

@@ -1,21 +1,27 @@
 """Exception types shared across the toolkit.
 
 Every error raised on a documented failure path derives from
-:class:`PathLingamError` so callers (and the CLI exit-code mapping) can
-distinguish domain failures from programming mistakes.
+:class:`PathLingamError` so callers can distinguish domain failures from
+programming mistakes; ``exit_code`` is the CLI's exit status for each.
 """
 
 
 class PathLingamError(Exception):
     """Base class for all domain errors."""
 
+    exit_code = 2
+
 
 class ZeroVariance(PathLingamError):
     """A vector that must have positive variance is constant."""
 
+    exit_code = 5
+
 
 class ZeroVarianceColumn(ZeroVariance):
     """A specific data column is constant; carries the column index."""
+
+    exit_code = 2
 
     def __init__(self, index):
         self.index = int(index)
@@ -25,6 +31,8 @@ class ZeroVarianceColumn(ZeroVariance):
 class DegenerateCorrelation(PathLingamError):
     """|correlation| is 1, so a regression residual has zero scale."""
 
+    exit_code = 5
+
 
 class InvalidK(PathLingamError):
     """Neighbor count k outside the valid range 1 <= k < N."""
@@ -33,17 +41,25 @@ class InvalidK(PathLingamError):
 class CyclicPrior(PathLingamError):
     """Prior orderings imply both (a, b) and (b, a)."""
 
+    exit_code = 3
+
 
 class PriorUnsatisfiable(PathLingamError):
     """No permutation of the features satisfies the prior."""
+
+    exit_code = 3
 
 
 class GenerationFailed(PathLingamError):
     """The simulator exhausted its rejection-sampling retries."""
 
+    exit_code = 5
+
 
 class SingularDesign(PathLingamError):
     """Regression design matrix is exactly collinear."""
+
+    exit_code = 5
 
 
 class LengthMismatch(PathLingamError):
@@ -53,9 +69,13 @@ class LengthMismatch(PathLingamError):
 class TooManyFeatures(PathLingamError):
     """Feature count exceeds an explicit enumeration cap."""
 
+    exit_code = 4
+
 
 class DegenerateDistribution(PathLingamError):
     """All path lengths are equal; moments are undefined."""
+
+    exit_code = 5
 
 
 class EmptyTrainingSet(PathLingamError):
@@ -64,4 +84,6 @@ class EmptyTrainingSet(PathLingamError):
 
 class SingleClass(PathLingamError):
     """ROC evaluation needs both labels present."""
+
+    exit_code = 5
 

@@ -104,7 +104,6 @@ class GroundTruth:
     b: np.ndarray
     lam: np.ndarray
     true_order: tuple
-    params: object = None
 
     def __post_init__(self):
         b = _freeze(self.b)
@@ -130,15 +129,6 @@ class GroundTruth:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "true_order", order)
-
-    def adjacency_observed(self):
-        """b re-expressed over returned-column indices (not triangular)."""
-        p = self.b.shape[0]
-        out = np.zeros((p, p))
-        for i in range(p):
-            for j in range(p):
-                out[self.true_order[i], self.true_order[j]] = self.b[i, j]
-        return out
 
 
 def _transitive_closure(pairs):
@@ -199,11 +189,6 @@ def standardize_values(values):
         if s == 0.0:
             raise ZeroVarianceColumn(index)
     return (values - mean) / std
-
-
-def standardize(data):
-    """Standardized copy of a Dataset (population mean 0, variance 1)."""
-    return Dataset(standardize_values(data.values), data.names)
 
 
 def expand_prior(orderings):

@@ -32,14 +32,11 @@ class PathDistribution:
 
     lengths: tuple
     mode: PathMode
-    sample_size: int
 
     def __post_init__(self):
         lengths = tuple(float(v) for v in self.lengths)
         if any(v < 0 for v in lengths):
             raise ValueError("path lengths must be nonnegative")
-        if len(lengths) != self.sample_size:
-            raise ValueError("sample_size must match the number of lengths")
         object.__setattr__(self, "lengths", lengths)
 
 
@@ -82,9 +79,7 @@ def enumerate_paths(data, config=None, max_features=ENUMERATION_CAP):
             walk(mask & ~(1 << feature), acc + costs[feature])
 
     walk(lattice.full, 0.0)
-    return PathDistribution(
-        lengths=tuple(lengths), mode=PathMode.EXHAUSTIVE, sample_size=len(lengths)
-    )
+    return PathDistribution(lengths=tuple(lengths), mode=PathMode.EXHAUSTIVE)
 
 
 def sample_paths(data, config, n, seed):
@@ -117,9 +112,7 @@ def sample_paths(data, config, n, seed):
             acc += lattice.costs_at(mask)[int(feature)]
             mask &= ~(1 << int(feature))
         lengths.append(acc)
-    return PathDistribution(
-        lengths=tuple(lengths), mode=PathMode.SAMPLED, sample_size=n
-    )
+    return PathDistribution(lengths=tuple(lengths), mode=PathMode.SAMPLED)
 
 
 def moment_features(dist, log_epsilon=LOG_EPSILON):

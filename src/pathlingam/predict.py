@@ -36,9 +36,9 @@ from .util import stable_seed
 log = logging.getLogger(__name__)
 
 # Parameter draws per training trial before GenerationFailed is raised. A
-# draw fails when its confounders cannot get full-rank loadings; at p = 2
-# that is every draw of two or three confounders, so a trial's draws all
-# fail with probability (2/3)^100.
+# draw fails when its confounders cannot get full-rank loadings, which takes
+# several confounders and a confoundedness near 1 (nearly every loading
+# column all ones). At p = 2 the draw has one confounder, which never fails.
 GENERATION_ATTEMPTS = 100
 
 

@@ -23,7 +23,7 @@ from .model import Dataset, GroundTruth
 
 @dataclass(frozen=True)
 class GenParams:
-    """Generation parameters; serializes to flat JSON with these exact keys."""
+    """Generation parameters; ``dataclasses.asdict`` gives their flat JSON."""
 
     p: int
     n_samples: int
@@ -47,22 +47,6 @@ class GenParams:
             raise ValueError("n_confounders must be nonnegative")
         if self.noise_family not in FAMILIES:
             raise ValueError(f"unknown noise family {self.noise_family!r}")
-
-    def to_json(self):
-        return {
-            "p": self.p,
-            "n_samples": self.n_samples,
-            "sparsity": self.sparsity,
-            "n_confounders": self.n_confounders,
-            "confoundedness": self.confoundedness,
-            "confounding_strength_exp": self.confounding_strength_exp,
-            "noise_family": self.noise_family,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(**{k: obj[k] for k in cls.__dataclass_fields__ if k in obj})
 
 
 # Each sampler returns n draws with population mean 0 and variance 1,
@@ -215,7 +199,7 @@ def generate(params):
     permutation = rng.permutation(p)
     data = Dataset(x[:, permutation])
     true_order = tuple(int(i) for i in np.argsort(permutation))
-    truth = GroundTruth(b=b, lam=lam, true_order=true_order, params=params)
+    truth = GroundTruth(b=b, lam=lam, true_order=true_order)
     return data, truth
 
 
@@ -225,12 +209,16 @@ def sample_benchmark_params(p, n, with_confounders, seed):
     sparsity ~ U(0,1), strength exponent ~ U(1,2), confounder count uniform
     on {1,2,3} (forced to 0 without confounders), confoundedness ~ U(0,1).
     The confounder-count draw always happens so the two regimes consume the
-    same random stream; a fresh generation seed is drawn last.
+    same random stream; a fresh generation seed is drawn last. At p = 2 the
+    count is clamped to 1 after the draw: every loading column there is
+    [1, 1], so a second confounder could never have full-rank loadings.
     """
     rng = np.random.default_rng(seed)
     sparsity = float(rng.uniform())
     strength_exp = float(rng.uniform(1.0, 2.0))
     q = int(rng.integers(1, 4))
+    if p == 2:
+        q = 1
     confoundedness = float(rng.uniform())
     gen_seed = int(rng.integers(0, 2**63))
     return GenParams(

@@ -1,4 +1,4 @@
-"""Small shared utilities: stable seeding, atomic JSON, full-precision CSV."""
+"""Shared utilities: stable seeding, atomic writes, full-precision CSV, task maps."""
 
 import csv
 import hashlib
@@ -55,17 +55,40 @@ def write_json_atomic(path, obj):
     Python's json emits floats with repr, the shortest representation that
     parses back to the identical double.
     """
+    _write_atomic(path, json.dumps(json_ready(obj), indent=2) + "\n")
+
+
+def _write_atomic(path, text):
+    """Write ``text`` to a temp file beside ``path``, then rename it there."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(json_ready(obj), handle, indent=2)
-            handle.write("\n")
+            handle.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def map_tasks(fn, tasks, jobs):
+    """``[fn(task) for task in tasks]``, over up to ``jobs`` worker processes.
+
+    One job or one task runs in this process, without starting a pool.
+    Workers are spawned, not forked, so none inherits a lock held by a
+    parent thread; ``fn`` must be picklable. Results keep the task order.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    tasks = list(tasks)
+    if jobs == 1 or len(tasks) <= 1:
+        return [fn(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    with ProcessPoolExecutor(min(jobs, len(tasks)), get_context("spawn")) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def write_matrix_csv(path, values, names):

@@ -243,7 +243,7 @@ class TestMomentReferenceValues:
         """An equal-mass two-point sample standardizes to exactly +/-1, so
         every even moment is exactly 1.0; the fourth in particular."""
         dist = PathDistribution(
-            (math.exp(-1.0), math.exp(1.0)), PathMode.EXHAUSTIVE, 2
+            (math.exp(-1.0), math.exp(1.0)), PathMode.EXHAUSTIVE
         )
         feats = moment_features(dist)
         for order, value in zip(range(3, 31), feats.moments):
@@ -252,7 +252,7 @@ class TestMomentReferenceValues:
     def test_symmetric_data_has_vanishing_odd_moments(self):
         half = np.linspace(0.05, 1.8, 80)
         z = np.concatenate([half, -half])
-        dist = PathDistribution(tuple(np.exp(z)), PathMode.EXHAUSTIVE, z.size)
+        dist = PathDistribution(tuple(np.exp(z)), PathMode.EXHAUSTIVE)
         feats = moment_features(dist, log_epsilon=0.0)
         for order, value in zip(range(3, 31), feats.moments):
             if order % 2 == 1:
@@ -261,7 +261,7 @@ class TestMomentReferenceValues:
     def test_gaussian_kurtosis_is_three(self):
         rng = np.random.default_rng(stable_seed(42, "kurtosis"))
         z = rng.standard_normal(1_000_000)
-        dist = PathDistribution(tuple(np.exp(z)), PathMode.SAMPLED, z.size)
+        dist = PathDistribution(tuple(np.exp(z)), PathMode.SAMPLED)
         feats = moment_features(dist, log_epsilon=0.0)
         kurtosis = feats.moments[1]
         assert abs(kurtosis - 3.0) <= 0.1
@@ -315,7 +315,7 @@ class TestPredictorFloors:
                     )
                     for size in grid:
                         dist = PathDistribution(
-                            full.lengths[:size], PathMode.SAMPLED, size
+                            full.lengths[:size], PathMode.SAMPLED
                         )
                         per_size[size].append(
                             LabeledFeatures(

@@ -48,8 +48,13 @@ class TestBenchConfig:
             BenchConfig(p_values=(3,), n_values=(100,), trials=1, prior_fracs=(1.5,))
 
     def test_parallelism_positive(self):
-        with pytest.raises(ValueError):
-            BenchConfig(p_values=(3,), n_values=(100,), trials=1, parallelism=0)
+        config = BenchConfig(p_values=(3,), n_values=(100,), trials=1)
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_benchmark(config, jobs=0)
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="at least one cell"):
+            BenchConfig(p_values=(), n_values=(100,), trials=1)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -174,8 +179,8 @@ class TestRunBenchmark:
             assert cell.trials == 3
 
     def test_parallel_matches_sequential(self):
-        sequential = run_benchmark(self._config(parallelism=1))
-        parallel = run_benchmark(self._config(parallelism=2))
+        sequential = run_benchmark(self._config(), jobs=1)
+        parallel = run_benchmark(self._config(), jobs=2)
         assert [(c.mean_eo, c.mean_edges, c.trials) for c in sequential] == [
             (c.mean_eo, c.mean_edges, c.trials) for c in parallel
         ]

@@ -4,6 +4,7 @@ Every invocation goes through main(argv) in-process; exit codes and the
 files left behind are the observable contract.
 """
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -43,6 +44,16 @@ class TestGen:
             "command", "config_digest", "tool_version", "started",
             "finished", "outputs",
         }
+
+    def test_truth_params_keep_their_keys_and_order(self, tmp_path):
+        out = _gen(tmp_path, extra=("--confounders", "1"))
+        params = json.loads((out / "truth.json").read_text())["params"]
+        assert list(params.items()) == [
+            ("p", 3), ("n_samples", 300), ("sparsity", 0.3),
+            ("n_confounders", 1), ("confoundedness", 0.0),
+            ("confounding_strength_exp", 1.0), ("noise_family", "standard12"),
+            ("seed", 0),
+        ]
 
     def test_byte_identical_reruns(self, tmp_path):
         first = _gen(tmp_path, seed=3)
@@ -343,7 +354,7 @@ class TestTrainPredictEval:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         out = tmp_path / "rows.jsonl"
         code = main(
             ["train", "--target", "confounder", "--p", "6,9",
@@ -351,6 +362,29 @@ class TestTrainPredictEval:
         )
         assert code == 4
         assert "enumeration cap" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_jobs_2_writes_the_rows_of_jobs_1(self, tmp_path):
+        rows = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.jsonl"
+            assert main(
+                ["train", "--target", "confounder", "--p", "3,4",
+                 "--trials-per-p", "3", "--n-samples", "150", "--seed", "6",
+                 "--jobs", jobs, "--out", str(out)]
+            ) == 0
+            rows.append(out.read_bytes())
+        assert rows[0] == rows[1]
+        assert rows[0].count(b"\n") == 6
+
+    def test_zero_jobs_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "rows.jsonl"
+        code = main(
+            ["train", "--target", "confounder", "--p", "3",
+             "--trials-per-p", "1", "--jobs", "0", "--out", str(out)]
+        )
+        assert code == 2
+        assert "jobs" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_eval_continuous_target_exits_2(self, tmp_path, capsys):
@@ -412,6 +446,16 @@ class TestBench:
         capsys.readouterr()
 
 
+    def test_zero_jobs_exits_2(self, tmp_path, capsys):
+        code = main(
+            ["bench", "--p", "3", "--trials", "1", "--jobs", "0",
+             "--out", str(tmp_path / "bench")]
+        )
+        assert code == 2
+        assert "at least 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestConfigMerge:
     def test_file_fills_and_flags_override(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -437,6 +481,91 @@ class TestConfigMerge:
         assert "bogus" in capsys.readouterr().err
 
 
+class TestConfigFile:
+    @pytest.mark.parametrize("config", [
+        {"p": [3], "n": 50},
+        {"p": 3, "n": "fifty"},
+        {"p": 3, "n": 50, "noise_family": None},
+        {"p": 3, "n": 50, "seed": True},
+    ])
+    def test_value_the_type_cannot_take_exits_2(self, tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["gen", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "config key" in capsys.readouterr().err
+
+    def test_bool_option_takes_only_json_booleans(self, tmp_path, capsys):
+        out = _gen(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"adjacency": "false"}))
+        argv = ["discover", "--config", str(path), "--data",
+                str(out / "data.csv"), "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 2
+        assert "adjacency" in capsys.readouterr().err
+        path.write_text(json.dumps({"adjacency": False}))
+        assert main(argv) == 0
+
+    def test_choices_apply_to_config_values(self, tmp_path, capsys):
+        out = _gen(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"method": "spp-bogus"}))
+        assert main(
+            ["discover", "--config", str(path), "--data",
+             str(out / "data.csv"), "--out", str(tmp_path / "r.json")]
+        ) == 2
+        assert "spp-bogus" in capsys.readouterr().err
+
+    def test_int_and_float_spellings_give_one_digest(self, tmp_path):
+        path = tmp_path / "config.json"
+        out = tmp_path / "run"
+        digests = []
+        for sparsity in (0, 0.0):
+            path.write_text(json.dumps({"p": 3, "n": 50, "sparsity": sparsity}))
+            assert main(["gen", "--config", str(path), "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            digests.append(manifest["config_digest"])
+        assert digests[0] == digests[1]
+
+    def test_list_options_take_json_lists(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"p": [3], "n": [120], "trials": 1,
+                                    "methods": ["spp-plr"], "prior_fracs": [0]}))
+        out = tmp_path / "bench"
+        assert main(["bench", "--config", str(path), "--out", str(out)]) == 0
+        cells = json.loads((out / "cells.json").read_text())
+        assert [(c["method"], c["p"], c["n"]) for c in cells] == [
+            ("spp-plr", 3, 120)
+        ]
+
+
+class TestMalformedInputFiles:
+    @pytest.mark.parametrize("command, payload", [
+        ("features", {"mode": "exhaustive", "lengths": 5}),
+        ("features", {"mode": "exhaustive", "lengths": [1.0, None]}),
+        ("predict", {"target": "confounder", "k": 1, "features": 5,
+                     "labels": [1.0]}),
+        ("discover", [1, 2]),
+    ])
+    def test_exit_2(self, tmp_path, capsys, command, payload):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        out = str(tmp_path / "out.json")
+        if command == "features":
+            argv = ["features", "--dist", str(path), "--out", out]
+        elif command == "predict":
+            feats = tmp_path / "f.json"
+            feats.write_text(json.dumps({"moments": [0.0] * 28}))
+            argv = ["predict", "--model", str(path), "--features", str(feats),
+                    "--out", out]
+        else:
+            data = _gen(tmp_path) / "data.csv"
+            argv = ["discover", "--data", str(data), "--prior", str(path),
+                    "--out", out]
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 class TestManifest:
     def test_manifest_written_next_to_outputs(self, tmp_path):
         out = _gen(tmp_path, seed=8)
@@ -457,6 +586,50 @@ class TestManifest:
         other = _gen(tmp_path / "sub", seed=9)
         c = json.loads((other / "manifest.json").read_text())
         assert a["config_digest"] != c["config_digest"]
+
+    # Flag-only invocations with relative paths, and the digests they gave
+    # when each option was declared by hand: declaring options differently
+    # must not move them.
+    PINNED = [
+        (["gen", "--p", "4", "--n", "200", "--seed", "1", "--out", "run"],
+         "d1f9b370321eef68273e6e8df75de7b0ea6effe59b45990dd46abd4db3c37f44"),
+        (["gen", "--p", "3", "--n", "150", "--sparsity", "0.25",
+          "--confounders", "1", "--confoundedness", "0.5",
+          "--strength-exp", "1.5", "--noise-family", "laplace",
+          "--seed", "2", "--out", "run"],
+         "c2b604880397481d538e07aef265ce07f0b29a428ed02778a398fdf05886993d"),
+        (["discover", "--data", "run/data.csv", "--out", "run/order.json"],
+         "78354af3a8331089e696bbee9f6b7ad85b3346d14526c0b9cfbc61d007ee3a23"),
+        (["discover", "--data", "run/data.csv", "--method", "direct-plr",
+          "--k-rule", "frac5", "--adjacency", "--out", "run/order.json"],
+         "c028409915e15ffc1e95bc13d50102ec66a990a456e88f31b6d15a41589de998"),
+        (["pathdist", "--data", "run/data.csv", "--out", "run/dist.json"],
+         "d8bd5db5fd1635a5c279a7daf109a9a9cb80061dd2d40ea48ca52dbd8edd3819"),
+        (["pathdist", "--data", "run/data.csv", "--mode", "sample",
+          "--samples", "40", "--seed", "3", "--max-features", "6",
+          "--measure", "plr", "--k-rule", "frac10", "--out", "run/dist.json"],
+         "bfd32c418c9e6a1439b7abe4c16cefd22212f05ab97df1c7497e4320b5133c3e"),
+        (["features", "--dist", "run/dist.json", "--out", "run/feat.json"],
+         "3e6f81aeef628f893e56a67e8427f9db0de6a71cdba42c4a3bb6d854fcab083f"),
+        (["features", "--dist", "run/dist.json", "--log-epsilon", "1e-9",
+          "--out", "run/feat.json"],
+         "88fd55ff86557c4625da55b5f0febfa281330c7af9931476dbad0d2ea1fa4851"),
+        (["train", "--target", "confounder", "--p", "3", "--trials-per-p", "2",
+          "--n-samples", "100", "--out", "run/rows.jsonl"],
+         "2a96417f65262a46917a96ac1f32cc00ca4946815bdb242c81ed1881e24f5a94"),
+        (["bench", "--p", "3", "--n", "100", "--trials", "1", "--out", "run"],
+         "e370a012267714d85ab8c9f80b45304d07b8afa7288acba2f36f43d3ab1e1271"),
+    ]
+
+    def test_flag_only_digests_are_pinned(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        found = []
+        for argv, _ in self.PINNED:
+            assert main(argv) == 0
+            manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+            found.append(manifest["config_digest"])
+        capsys.readouterr()
+        assert found == [digest for _, digest in self.PINNED]
 
     def test_discover_deterministic_after_masking(self, tmp_path):
         out = _gen(tmp_path, seed=10)

@@ -10,7 +10,6 @@ from pathlingam.model import (
     GroundTruth,
     PriorKnowledge,
     expand_prior,
-    standardize,
     standardize_values,
 )
 
@@ -94,15 +93,6 @@ class TestGroundTruth:
         with pytest.raises(ValueError, match="rank"):
             GroundTruth(np.zeros((3, 3)), lam, (0, 1, 2))
 
-    def test_adjacency_observed_relabels(self):
-        b = np.zeros((3, 3))
-        b[1, 0] = 2.0  # second cause depends on first cause
-        truth = GroundTruth(b, np.zeros((3, 0)), (2, 0, 1))
-        observed = truth.adjacency_observed()
-        # causal position 1 is column 0, position 0 is column 2
-        assert observed[0, 2] == 2.0
-        assert np.count_nonzero(observed) == 1
-
 
 class TestPriorKnowledge:
     def test_transitive_closure(self):
@@ -169,9 +159,4 @@ class TestStandardize:
         with pytest.raises(ZeroVarianceColumn) as info:
             standardize_values(values)
         assert info.value.index == 1
-
-    def test_dataset_wrapper_keeps_names(self):
-        data = Dataset(np.random.default_rng(3).standard_normal((30, 2)),
-                       names=("u", "v"))
-        assert standardize(data).names == ("u", "v")
 

@@ -56,7 +56,6 @@ class TestEnumerate:
         dist = enumerate_paths(_dataset(0))
         assert len(dist.lengths) == 6
         assert dist.mode is PathMode.EXHAUSTIVE
-        assert dist.sample_size == 6
 
     def test_matches_naive_per_permutation(self):
         data = _dataset(1, p=4)
@@ -153,11 +152,7 @@ class TestSample:
 class TestPathDistribution:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
-            PathDistribution(lengths=(1.0, -0.5), mode=PathMode.SAMPLED, sample_size=2)
-
-    def test_sample_size_must_match(self):
-        with pytest.raises(ValueError):
-            PathDistribution(lengths=(1.0, 2.0), mode=PathMode.SAMPLED, sample_size=3)
+            PathDistribution(lengths=(1.0, -0.5), mode=PathMode.SAMPLED)
 
 
 class TestMomentFeatures:
@@ -169,7 +164,6 @@ class TestMomentFeatures:
         dist = PathDistribution(
             lengths=(float(np.exp(-1.0)), float(np.exp(1.0))),
             mode=PathMode.EXHAUSTIVE,
-            sample_size=2,
         )
         feats = moment_features(dist)
         assert all(v == 1.0 for v in feats.moments[1::2])
@@ -178,9 +172,7 @@ class TestMomentFeatures:
     def test_lognormal_lengths_look_gaussian(self):
         rng = np.random.default_rng(12)
         lengths = tuple(np.exp(rng.normal(size=200_000)))
-        dist = PathDistribution(
-            lengths=lengths, mode=PathMode.SAMPLED, sample_size=len(lengths)
-        )
+        dist = PathDistribution(lengths=lengths, mode=PathMode.SAMPLED)
         feats = moment_features(dist)
         assert abs(feats.moments[0]) < 0.05
         assert abs(feats.moments[1] - 3.0) < 0.1
@@ -188,9 +180,7 @@ class TestMomentFeatures:
     def test_matches_scipy_low_orders(self):
         rng = np.random.default_rng(13)
         lengths = tuple(rng.uniform(0.5, 4.0, size=500))
-        dist = PathDistribution(
-            lengths=lengths, mode=PathMode.SAMPLED, sample_size=500
-        )
+        dist = PathDistribution(lengths=lengths, mode=PathMode.SAMPLED)
         feats = moment_features(dist)
         x = np.log(np.array(lengths) + LOG_EPSILON)
         assert abs(feats.moments[0] - stats.skew(x, bias=True)) < 1e-10
@@ -204,10 +194,10 @@ class TestMomentFeatures:
         rng = np.random.default_rng(14)
         base = rng.uniform(1.0, 5.0, size=300)
         one = moment_features(
-            PathDistribution(tuple(base), PathMode.SAMPLED, 300)
+            PathDistribution(tuple(base), PathMode.SAMPLED)
         )
         scaled = moment_features(
-            PathDistribution(tuple(1000.0 * base), PathMode.SAMPLED, 300)
+            PathDistribution(tuple(1000.0 * base), PathMode.SAMPLED)
         )
         assert np.allclose(one.moments, scaled.moments, atol=1e-6)
 
@@ -216,8 +206,8 @@ class TestMomentFeatures:
         assert MOMENT_RANGE[0] == 3 and MOMENT_RANGE[-1] == 30
 
     def test_degenerate_distributions_raise(self):
-        single = PathDistribution((2.0,), PathMode.SAMPLED, 1)
-        flat = PathDistribution((2.0, 2.0, 2.0), PathMode.SAMPLED, 3)
+        single = PathDistribution((2.0,), PathMode.SAMPLED)
+        flat = PathDistribution((2.0, 2.0, 2.0), PathMode.SAMPLED)
         with pytest.raises(DegenerateDistribution):
             moment_features(single)
         with pytest.raises(DegenerateDistribution):
