@@ -8,8 +8,6 @@ logarithmic grid, and surviving coefficients below 1e-6 in magnitude are
 snapped to exact zeros.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import SingularDesign
@@ -19,38 +17,6 @@ CD_TOLERANCE = 1e-8
 CD_MAX_SWEEPS = 10_000
 GRID_POINTS = 50
 GRID_SPAN = 1e-4
-
-
-@dataclass(frozen=True)
-class WeightedDag:
-    """Estimated coefficient matrix plus its nonzero edge set.
-
-    ``b_hat[effect, cause]`` follows the structural convention x = Bx + e;
-    permuting rows and columns by the ordering that produced it gives a
-    strictly lower-triangular matrix.
-    """
-
-    b_hat: np.ndarray
-    edges: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        b_hat = np.array(self.b_hat, dtype=float)
-        b_hat.setflags(write=False)
-        if b_hat.ndim != 2 or b_hat.shape[0] != b_hat.shape[1]:
-            raise ValueError("b_hat must be square")
-        edges = frozenset((int(a), int(b)) for a, b in self.edges)
-        expected = frozenset(
-            (cause, effect)
-            for effect in range(b_hat.shape[0])
-            for cause in range(b_hat.shape[1])
-            if b_hat[effect, cause] != 0.0
-        )
-        if edges != expected:
-            raise ValueError("edges must list exactly the nonzero b_hat entries")
-        if any(a == b for a, b in edges):
-            raise ValueError("self-loops are not allowed")
-        object.__setattr__(self, "b_hat", b_hat)
-        object.__setattr__(self, "edges", edges)
 
 
 def lasso_coordinate_descent(design, target, lam, start=None):
@@ -110,11 +76,13 @@ def _adaptive_lasso(design, target):
 
 
 def estimate_adjacency(data, order):
-    """Sparse coefficient estimates consistent with an ordering.
+    """Sparse coefficient matrix consistent with an ordering.
 
     For each feature, in causal position order, regress it on every
-    predecessor; entries surviving the adaptive lasso become directed edges
-    (cause, effect).
+    predecessor with the adaptive lasso. ``b_hat[effect, cause]`` follows the
+    structural convention x = Bx + e, so its nonzero entries are the directed
+    edges, and permuting rows and columns by the ordering gives a strictly
+    lower-triangular matrix.
     """
     sequence = tuple(getattr(order, "order", order))
     p = data.n_features
@@ -134,10 +102,4 @@ def estimate_adjacency(data, order):
             )
         beta = _adaptive_lasso(design, centered[:, effect])
         b_hat[effect, causes] = beta
-    edges = frozenset(
-        (cause, effect)
-        for effect in range(p)
-        for cause in range(p)
-        if b_hat[effect, cause] != 0.0
-    )
-    return WeightedDag(b_hat=b_hat, edges=edges)
+    return b_hat

@@ -122,7 +122,7 @@ def run_trial(method, p, n, confounded, prior_frac, seed):
         result = shortest_path_order(
             data, MeasureConfig(MeasureKind.KNN_MI), prior
         )
-    e_o = ordering_error(result.order, truth.true_order).e_o
+    e_o = ordering_error(result.order, truth.true_order)
     return e_o, result.wall_time, result.edges_evaluated
 
 

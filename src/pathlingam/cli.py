@@ -48,7 +48,7 @@ from .predict import (
     PredictTarget,
     build_training_set,
     check_enumeration_cap,
-    default_k,
+    fit_knn,
     knn_classify,
     knn_regress,
     roc_summary,
@@ -59,6 +59,7 @@ from .util import (
     _write_atomic,
     map_tasks,
     read_matrix_csv,
+    whole_number,
     write_json_atomic,
     write_matrix_csv,
 )
@@ -96,14 +97,14 @@ _MEASURE = Option("measure", default="plr", choices=tuple(sorted(_MEASURES)))
 
 OPTIONS = {
     "gen": (
-        Option("p", int, required=True, help="number of observed features"),
-        Option("n", int, required=True, help="number of samples"),
+        Option("p", whole_number, required=True, help="number of observed features"),
+        Option("n", whole_number, required=True, help="number of samples"),
         Option("sparsity", float, 0.0),
-        Option("confounders", int, 0, help="number of latent confounders"),
+        Option("confounders", whole_number, 0, help="number of latent confounders"),
         Option("confoundedness", float, 0.0),
         Option("strength_exp", float, 1.0, help="confounder scale exponent s in 10^s"),
         Option("noise_family", default="standard12"),
-        Option("seed", int, 0),
+        Option("seed", whole_number, 0),
         Option("out", default=".", help="output directory"),
     ),
     "discover": (
@@ -117,9 +118,9 @@ OPTIONS = {
     "pathdist": (
         Option("data", required=True),
         Option("mode", default="exhaustive", choices=tuple(_MODES)),
-        Option("samples", int, 1000),
-        Option("seed", int, 0),
-        Option("max_features", int, ENUMERATION_CAP),
+        Option("samples", whole_number, 1000),
+        Option("seed", whole_number, 0),
+        Option("max_features", whole_number, ENUMERATION_CAP),
         _MEASURE,
         _K_RULE,
         Option("out", default="pathdist.json"),
@@ -133,41 +134,41 @@ OPTIONS = {
         Option("target", required=True,
                choices=tuple(sorted(t.value for t in PredictTarget))),
         Option("p", _comma_list, "4,5,6", help="comma-separated feature counts"),
-        Option("trials_per_p", int, 100),
-        Option("seed", int, 0),
-        Option("n_samples", int, 1000),
+        Option("trials_per_p", whole_number, 100),
+        Option("seed", whole_number, 0),
+        Option("n_samples", whole_number, 1000),
         Option("path_mode", default="exhaustive", choices=tuple(_MODES)),
-        Option("path_samples", int, 1000),
-        Option("max_features", int),
+        Option("path_samples", whole_number, 1000),
+        Option("max_features", whole_number),
         _MEASURE,
         _K_RULE,
-        Option("k", int, help="neighbor count stored in the model"),
-        Option("jobs", int),
+        Option("k", whole_number, help="neighbor count stored in the model"),
+        Option("jobs", whole_number),
         Option("out", default="training.jsonl", help="training JSONL path"),
         Option("model", help="also write a model JSON here"),
     ),
     "predict": (
         Option("model", required=True),
         Option("features", required=True, help="features JSON or JSONL of rows"),
-        Option("k", int),
+        Option("k", whole_number),
         Option("out", default="prediction.json"),
     ),
     "eval": (
         Option("model", required=True),
         Option("test", required=True, help="labeled JSONL of held-out rows"),
-        Option("k", int),
+        Option("k", whole_number),
         Option("out", default="roc.json"),
     ),
     "bench": (
         Option("p", _comma_list, required=True, help="comma-separated feature counts"),
         Option("n", _comma_list, "1000", help="comma-separated sample sizes"),
-        Option("trials", int, 10),
+        Option("trials", whole_number, 10),
         Option("methods", _comma_list, "spp-plr,direct-plr",
                help="comma-separated method names"),
         Option("with_confounders", default="false", choices=("both", "true", "false")),
         Option("prior_fracs", _comma_list, "0", help="comma-separated fractions"),
-        Option("seed", int, 0),
-        Option("jobs", int),
+        Option("seed", whole_number, 0),
+        Option("jobs", whole_number),
         Option("out", default=".", help="output directory"),
     ),
 }
@@ -287,21 +288,18 @@ def _read_jsonl(path):
     return rows
 
 
-def _load_model(path):
+def _load_model(path, k):
+    """The model stored at ``path``, fitted to the file's rows and labels,
+    with neighbour count ``k`` or, if that is None, the stored one."""
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     for key in ("target", "k", "features", "labels"):
         if key not in payload:
             raise ValueError(f"{path}: model file missing {key!r}")
-    if len(payload["features"]) != len(payload["labels"]):
-        raise ValueError(f"{path}: features and labels differ in length")
-    rows = [
-        LabeledFeatures(features=f, label=label)
-        for f, label in zip(payload["features"], payload["labels"])
-    ]
-    if not rows:
-        raise EmptyTrainingSet(f"{path}: model file holds no training rows")
-    return rows, PredictTarget(payload["target"]), int(payload["k"])
+    return fit_knn(
+        payload["features"], payload["labels"], payload["target"],
+        whole_number(payload["k"]) if k is None else k,
+    )
 
 
 def _load_queries(path):
@@ -360,7 +358,7 @@ def cmd_discover(values):
             sequences = json.load(handle)
         if not isinstance(sequences, list):
             raise ValueError("prior file must hold a list of index sequences")
-        prior = expand_prior(sequences) or None
+        prior = expand_prior(sequences, data.n_features) or None
     result = search(data, config, prior)
     payload = {
         "order": list(result.order.order),
@@ -369,7 +367,7 @@ def cmd_discover(values):
         "edges_evaluated": result.edges_evaluated,
     }
     if values["adjacency"]:
-        payload["b_hat"] = estimate_adjacency(data, result.order.order).b_hat
+        payload["b_hat"] = estimate_adjacency(data, result.order.order)
     payload["runtime_ms"] = result.wall_time * 1000.0
     write_json_atomic(values["out"], payload)
     return [values["out"]]
@@ -407,7 +405,6 @@ def cmd_features(values):
 
 def cmd_train(values):
     """build a labeled moment-feature training set"""
-    target = PredictTarget(values["target"])
     p_values = _split(values["p"], int)
     kwargs = {
         "config": _measure_config(values),
@@ -423,7 +420,7 @@ def cmd_train(values):
     # Trial seeds depend only on (seed, target, p, index), so one task per p
     # reproduces the rows of a single call over the whole grid.
     train_p = functools.partial(
-        build_training_set, target, trials_per_p=values["trials_per_p"],
+        build_training_set, values["target"], trials_per_p=values["trials_per_p"],
         seed=values["seed"], **kwargs,
     )
     chunks = map_tasks(train_p, [(p,) for p in p_values], _jobs(values))
@@ -431,20 +428,19 @@ def cmd_train(values):
     if not rows:
         raise EmptyTrainingSet("no trial produced a usable row")
     outputs = [values["out"]]
+    model = None if values["model"] is None else fit_knn(
+        [row.features for row in rows], [row.label for row in rows],
+        values["target"], values["k"],
+    )
     _write_jsonl(outputs[0], rows)
-    if values["model"] is not None:
-        features = np.array([row.features for row in rows], dtype=float)
-        mean = features.mean(axis=0)
-        std = features.std(axis=0)
-        std[std == 0.0] = 1.0
-        k = values["k"] if values["k"] is not None else default_k(len(rows))
+    if model is not None:
         write_json_atomic(values["model"], {
-            "target": target.value,
-            "k": k,
-            "feature_mean": mean,
-            "feature_std": std,
-            "features": features,
-            "labels": [row.label for row in rows],
+            "target": model.target.value,
+            "k": model.k,
+            "feature_mean": model.mean,
+            "feature_std": model.std,
+            "features": model.features,
+            "labels": model.labels,
         })
         outputs.append(values["model"])
     return outputs
@@ -452,36 +448,27 @@ def cmd_train(values):
 
 def cmd_predict(values):
     """score feature vectors with a stored model"""
-    rows, target, model_k = _load_model(values["model"])
-    queries = _load_queries(values["features"])
-    k = values["k"] if values["k"] is not None else model_k
-    score = knn_classify if target in BINARY_TARGETS else knn_regress
-    scores = [score(rows, query, k) for query in queries]
+    model = _load_model(values["model"], values["k"])
+    score = knn_classify if model.target in BINARY_TARGETS else knn_regress
+    scores = score(model, _load_queries(values["features"]))
     write_json_atomic(
         values["out"],
-        {"target": target.value, "k": k, "scores": scores},
+        {"target": model.target.value, "k": model.k, "scores": scores},
     )
     return [values["out"]]
 
 
 def cmd_eval(values):
     """ROC metrics of a stored model on a labeled JSONL"""
-    rows, target, model_k = _load_model(values["model"])
-    if target not in BINARY_TARGETS:
-        raise ValueError(f"target {target.value} is not binary; no ROC")
+    model = _load_model(values["model"], values["k"])
+    if model.target not in BINARY_TARGETS:
+        raise ValueError(f"target {model.target.value} is not binary; no ROC")
     test = _read_jsonl(values["test"])
     if not test:
         raise ValueError("test file holds no rows")
-    k = values["k"] if values["k"] is not None else model_k
-    scored = [(knn_classify(rows, row.features, k), row.label) for row in test]
-    summary = roc_summary(scored)
-    write_json_atomic(values["out"], {
-        "auc": summary.auc,
-        "optimal_threshold": summary.optimal_threshold,
-        "precision": summary.precision,
-        "recall": summary.recall,
-        "accuracy": summary.accuracy,
-    })
+    scores = knn_classify(model, [row.features for row in test])
+    summary = roc_summary(zip(scores, [row.label for row in test]))
+    write_json_atomic(values["out"], dataclasses.asdict(summary))
     return [values["out"]]
 
 

@@ -39,13 +39,7 @@ class InvalidK(PathLingamError):
 
 
 class CyclicPrior(PathLingamError):
-    """Prior orderings imply both (a, b) and (b, a)."""
-
-    exit_code = 3
-
-
-class PriorUnsatisfiable(PathLingamError):
-    """No permutation of the features satisfies the prior."""
+    """Prior orderings put a feature before itself, so no ordering keeps them."""
 
     exit_code = 3
 

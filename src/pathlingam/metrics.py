@@ -1,21 +1,6 @@
 """Evaluation of estimated orderings against ground truth."""
 
-from dataclasses import dataclass
-
 from .errors import LengthMismatch
-
-
-@dataclass(frozen=True)
-class OrderingError:
-    """Fraction of variable pairs placed in the wrong relative order."""
-
-    e_o: float
-    wrong_pairs: int
-    total_pairs: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.e_o <= 1.0:
-            raise ValueError("e_o must lie in [0, 1]")
 
 
 def ordering_error(estimated, truth):
@@ -23,7 +8,8 @@ def ordering_error(estimated, truth):
 
     ``estimated`` is a CausalOrder (or bare permutation); ``truth`` is the
     true permutation, both listing feature indices from first cause onward.
-    Each unordered pair counts once; e_o = 2r / (p(p-1)).
+    Each unordered pair counts once: with r pairs in the wrong relative
+    order, returns e_o = 2r / (p(p-1)), the fraction of pairs misplaced.
     """
     est = tuple(getattr(estimated, "order", estimated))
     truth = tuple(int(i) for i in truth)
@@ -41,8 +27,5 @@ def ordering_error(estimated, truth):
         for b in range(a + 1, p):
             if (pos_est[a] < pos_est[b]) != (pos_true[a] < pos_true[b]):
                 wrong += 1
-    total = p * (p - 1) // 2
-    return OrderingError(
-        e_o=(2 * wrong) / (p * (p - 1)), wrong_pairs=wrong, total_pairs=total
-    )
+    return (2 * wrong) / (p * (p - 1))
 

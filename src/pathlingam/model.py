@@ -8,11 +8,12 @@ correlations use the population (1/N) normalization. ``numpy`` defaults
 (``ddof=0``, ``bias=True``) already follow it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CyclicPrior, ZeroVarianceColumn
+from .util import whole_number
 
 # Tolerance used when a stored aggregate must match a recomputed sum.
 SUM_TOLERANCE = 1e-9
@@ -131,55 +132,6 @@ class GroundTruth:
         object.__setattr__(self, "true_order", order)
 
 
-def _transitive_closure(pairs):
-    pairs = set(pairs)
-    nodes = {a for a, _ in pairs} | {b for _, b in pairs}
-    succ = {n: {b for a, b in pairs if a == n} for n in nodes}
-    changed = True
-    while changed:
-        changed = False
-        for n in nodes:
-            reach = set(succ[n])
-            for m in list(reach):
-                extra = succ.get(m, ()) - reach
-                if extra:
-                    reach |= extra
-                    changed = True
-            succ[n] = reach
-    return {(a, b) for a in nodes for b in succ[a]}
-
-
-@dataclass(frozen=True)
-class PriorKnowledge:
-    """Known relative orderings, stored as their transitive closure.
-
-    ``(a, b)`` means feature a precedes feature b. The closure is taken
-    eagerly at construction so state skipping is a pure subset test.
-    """
-
-    pairs: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        pairs = set()
-        for pair in self.pairs:
-            a, b = pair
-            a, b = int(a), int(b)
-            if a < 0 or b < 0:
-                raise ValueError("prior indices must be nonnegative")
-            pairs.add((a, b))
-        closed = _transitive_closure(pairs)
-        for a, b in closed:
-            if a == b or (b, a) in closed:
-                raise CyclicPrior(f"prior implies a cycle through {a} and {b}")
-        object.__setattr__(self, "pairs", frozenset(closed))
-
-    def __bool__(self):
-        return bool(self.pairs)
-
-    def max_index(self):
-        return max((max(a, b) for a, b in self.pairs), default=-1)
-
-
 def standardize_values(values):
     """Center and scale columns to population mean 0, variance 1."""
     values = np.asarray(values, dtype=float)
@@ -191,22 +143,34 @@ def standardize_values(values):
     return (values - mean) / std
 
 
-def expand_prior(orderings):
-    """Convert relative-ordering sequences into the implied pair set.
+def expand_prior(orderings, p=None):
+    """The prior knowledge implied by relative-ordering sequences.
 
-    A sequence (a, b, c) contributes (a,b), (b,c) and (a,c); the union over
-    sequences is then transitively closed. Contradictions raise CyclicPrior.
+    A sequence (a, b, c) says that a precedes b and c and that b precedes c.
+    The prior is a tuple ``before`` of bitsets: bit a of ``before[f]`` is set
+    when a must precede f, transitively closed. It has an entry per index up
+    to the largest in a sequence of two or more (more than ``p`` entries
+    raise ValueError), so a prior with no ordered pair is the empty tuple. A
+    repeated index or sequences that imply a cycle raise CyclicPrior.
     """
-    pairs = set()
-    for sequence in orderings:
-        sequence = [int(i) for i in sequence]
-        if any(i < 0 for i in sequence):
-            raise ValueError("prior indices must be nonnegative")
-        for i in range(len(sequence)):
-            for j in range(i + 1, len(sequence)):
-                if sequence[i] == sequence[j]:
-                    raise CyclicPrior(
-                        f"index {sequence[i]} repeats within one ordering"
-                    )
-                pairs.add((sequence[i], sequence[j]))
-    return PriorKnowledge(frozenset(pairs))
+    sequences = [[whole_number(i) for i in sequence] for sequence in orderings]
+    size = max((max(seq) + 1 for seq in sequences if len(seq) > 1), default=0)
+    if p is not None and size > p:
+        raise ValueError("prior references a feature index outside the data")
+    before = [0] * size
+    for sequence in sequences:
+        for k, f in enumerate(sequence):
+            if f < 0:
+                raise ValueError("prior indices must be nonnegative")
+            if f in sequence[:k]:
+                raise CyclicPrior(f"index {f} repeats within one ordering")
+            for a in sequence[:k]:
+                before[f] |= 1 << a
+    for k in range(size):
+        for f in range(size):
+            if before[f] >> k & 1:
+                before[f] |= before[k]
+    for f in range(size):
+        if before[f] >> f & 1:
+            raise CyclicPrior(f"prior implies a cycle through {f}")
+    return tuple(before)

@@ -91,51 +91,69 @@ class RocSummary:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
 
-def default_k(train_size):
-    """Neighbor count used when none is given: ceil(sqrt(train size))."""
-    root = math.isqrt(int(train_size))
-    return root if root * root == train_size else root + 1
+@dataclass(frozen=True)
+class KnnModel:
+    """Training rows, their labels and target, the neighbour count k, and
+    the per-feature mean and std that z-score rows. Built by ``fit_knn``."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    target: PredictTarget
+    k: int
+    mean: np.ndarray
+    std: np.ndarray
 
 
-def _feature_matrix(rows):
-    return np.array([row.features for row in rows], dtype=float)
+def fit_knn(features, labels, target, k=None):
+    """The kNN model of training rows and their labels.
 
-
-def _query_vector(query):
-    vector = np.asarray(getattr(query, "moments", query), dtype=float).ravel()
-    return vector
-
-
-def _nearest_labels(train, query, k):
-    if not train:
+    This is the one place that decides the scaling (the rows' mean and std,
+    a constant feature's std taken as 1) and the default k, ceil(sqrt(n)).
+    """
+    if len(features) != len(labels):
+        raise ValueError("features and labels differ in length")
+    if not len(features):
         raise EmptyTrainingSet("no training rows")
-    k = int(k)
-    if k < 1 or k > len(train):
-        raise ValueError(f"need 1 <= k <= {len(train)}, got {k}")
-    features = _feature_matrix(train)
-    mean = features.mean(axis=0)
+    features = np.array(features, dtype=float)  # rows of unequal width raise
+    if features.ndim != 2:
+        raise ValueError("training rows must be lists of numbers")
+    n = len(features)
+    k = math.isqrt(n - 1) + 1 if k is None else int(k)
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= {n}, got {k}")
     std = features.std(axis=0)
     std[std == 0.0] = 1.0
-    scaled = (features - mean) / std
-    target = (_query_vector(query) - mean) / std
-    distances = np.sqrt(np.sum((scaled - target) ** 2, axis=1))
-    # Stable sort: distance ties resolve to the earlier training row.
-    nearest = np.argsort(distances, kind="stable")[:k]
-    return np.array([train[i].label for i in nearest])
+    return KnnModel(
+        features, np.array(labels, dtype=float), PredictTarget(target), k,
+        features.mean(axis=0), std,
+    )
 
 
-def knn_classify(train, query, k=None):
-    """Fraction of the k nearest training rows with label 1."""
-    if k is None:
-        k = default_k(len(train))
-    return float(np.mean(_nearest_labels(train, query, k) == 1.0))
+def _nearest_labels(model, queries):
+    """For each query row, the labels of its k nearest training rows.
+
+    Queries are scored one at a time against the training rows, scaled
+    once, so memory stays at one training matrix however many queries come.
+    """
+    scaled = (model.features - model.mean) / model.std
+    for query in queries:
+        query = np.asarray(query, dtype=float)
+        if query.shape != model.mean.shape:
+            raise ValueError(f"query width {query.size}, model width {model.mean.size}")
+        target = (query - model.mean) / model.std
+        distances = np.sqrt(np.sum((scaled - target) ** 2, axis=1))
+        # Stable sort: distance ties resolve to the earlier training row.
+        yield model.labels[np.argsort(distances, kind="stable")[: model.k]]
 
 
-def knn_regress(train, query, k=None):
-    """Mean label of the k nearest training rows."""
-    if k is None:
-        k = default_k(len(train))
-    return float(_nearest_labels(train, query, k).mean())
+def knn_classify(model, queries):
+    """Per query row, the fraction of its k nearest training rows labelled 1."""
+    return [float(np.mean(near == 1.0)) for near in _nearest_labels(model, queries)]
+
+
+def knn_regress(model, queries):
+    """Per query row, the mean label of its k nearest training rows."""
+    return [float(near.mean()) for near in _nearest_labels(model, queries)]
 
 
 def roc_summary(scores):
@@ -197,10 +215,10 @@ def _label_for(target, params, data, truth, config):
         result = shortest_path_order(data, config)
     else:
         result = direct_lingam_order(data, config)
-    e_o = ordering_error(result.order, truth.true_order).e_o
+    e_o = ordering_error(result.order, truth.true_order)
     if target in (PredictTarget.SPP_EXACT, PredictTarget.DIRECT_EXACT):
         return 1.0 if e_o == 0.0 else 0.0
-    return float(e_o)
+    return e_o
 
 
 def check_enumeration_cap(p_values, path_mode, max_features):

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PriorUnsatisfiable
 from .measures import (
     MeasureConfig,
     MeasureKind,
@@ -29,7 +28,7 @@ from .measures import (
     state_entropies,
     table_costs,
 )
-from .model import CausalOrder, PriorKnowledge, standardize_values
+from .model import CausalOrder, standardize_values
 
 
 @dataclass(frozen=True)
@@ -60,23 +59,21 @@ class Lattice:
 
     def __init__(self, data, config=None, prior=None):
         self.config = config if config is not None else MeasureConfig()
-        self.prior = prior if prior is not None else PriorKnowledge()
+        prior = prior if prior is not None else ()
         self.p = data.n_features
         if self.p < 2:
             raise ValueError("need at least 2 features")
         if data.n_samples < self.p + 2:
             raise ValueError("need at least p + 2 samples")
-        if self.prior and self.prior.max_index() >= self.p:
+        if len(prior) > self.p:
             raise ValueError("prior references a feature index outside the data")
         self.full = (1 << self.p) - 1
         root = standardize_values(data.values)
         root.setflags(write=False)
         self._columns = {self.full: root}
         self._costs = {}
-        # blockers[f]: bitset of features that must precede f.
-        self.blockers = [0] * self.p
-        for a, b in self.prior.pairs:
-            self.blockers[b] |= 1 << a
+        # blockers[f]: bitset of features that must precede f (expand_prior).
+        self.blockers = tuple(prior) + (0,) * (self.p - len(prior))
         self.edges_evaluated = 0
 
     def columns(self, mask):
@@ -92,7 +89,11 @@ class Lattice:
         return columns
 
     def allowed_candidates(self, mask):
-        """Features choosable at ``mask`` without violating the prior."""
+        """Features choosable at ``mask`` without violating the prior.
+
+        The prior is closed and acyclic, so a state reached by allowed steps
+        always has an allowed feature: one with no predecessor left in it.
+        """
         out = []
         for f in range(self.p):
             bit = 1 << f
@@ -196,7 +197,7 @@ def shortest_path_order(data, config=None, prior=None):
     done = set()
     frontier = [(0.0, full)]
     states_expanded = 0
-    while frontier:
+    while True:  # the goal is reachable; see Lattice.allowed_candidates
         cost, mask = heapq.heappop(frontier)
         if mask in done:
             continue
@@ -222,7 +223,6 @@ def shortest_path_order(data, config=None, prior=None):
                 dist[child] = new_cost
                 parent[child] = (mask, feature, weight)
                 heapq.heappush(frontier, (new_cost, child))
-    raise PriorUnsatisfiable("no ordering satisfies the prior")
 
 
 def direct_lingam_order(data, config=None, prior=None):
@@ -244,8 +244,6 @@ def direct_lingam_order(data, config=None, prior=None):
             step_costs.append(0.0)
             break
         costs = lattice.costs_at(mask)
-        if not costs:
-            raise PriorUnsatisfiable("no candidate is allowed by the prior")
         best = min(costs, key=lambda f: (costs[f], f))
         order.append(best)
         step_costs.append(costs[best])

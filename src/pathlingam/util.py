@@ -1,8 +1,10 @@
-"""Shared utilities: stable seeding, atomic writes, full-precision CSV, task maps."""
+"""Shared utilities: stable seeding, whole numbers read from input, atomic
+writes, full-precision CSV, task maps."""
 
 import csv
 import hashlib
 import json
+import operator
 import os
 import tempfile
 
@@ -34,10 +36,21 @@ def _canonical(part):
     raise TypeError(f"unsupported seed part {type(part).__name__}")
 
 
+def whole_number(value):
+    """An integer read from outside the program: the text of an int, an int,
+    or a float with no fractional part (3.0 gives 3). A boolean or a
+    fractional number raises ValueError instead of being cut to an int."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value) if isinstance(value, (str, float)) else operator.index(value)
+
+
 def json_ready(obj):
     """Convert numpy containers/scalars to plain Python for json.dump."""
     if isinstance(obj, np.ndarray):
         return [json_ready(v) for v in obj.tolist()]
+    if isinstance(obj, (np.bool_, bool)):  # before int: bool subclasses int
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):

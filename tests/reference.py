@@ -12,6 +12,7 @@
 - ``ksg_mi``: the Kraskov-Stogbauer-Grassberger estimator from the full
   matrix of max-norm distances, with no tree and no sorting, against which
   ``measures.knn_mi`` must agree bit for bit.
+- ``prior_pairs``: the ordered pairs of a prior held as bitsets.
 """
 
 import math
@@ -113,3 +114,14 @@ def ksg_mi(x_block, y, k):
     n_y = np.maximum((max_norm_distances(y) < eps[:, None]).sum(axis=1) - 1, 0)
     mean_psi = np.mean(digamma(n_x + 1.0) + digamma(n_y + 1.0))
     return float(digamma(k) - mean_psi + digamma(y.size))
+
+
+def prior_pairs(before):
+    """The pairs (a, b), a before b, of a prior from ``expand_prior``, where
+    bit a of ``before[b]`` is set when a precedes b."""
+    return {
+        (a, b)
+        for b, bits in enumerate(before)
+        for a in range(bits.bit_length())
+        if bits >> a & 1
+    }

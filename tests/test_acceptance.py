@@ -33,7 +33,7 @@ from pathlingam.predict import (
     LabeledFeatures,
     PredictTarget,
     build_training_set,
-    default_k,
+    fit_knn,
     knn_classify,
     roc_summary,
 )
@@ -280,12 +280,12 @@ class TestPredictorFloors:
             assert len(train) >= 2000
             test = build_training_set(target, (7,), 520, seed=43)
             assert len(test) >= 500
-            k = default_k(len(train))
-            scored = [
-                (knn_classify(train, row.features, k), row.label)
-                for row in test
-            ]
-            summary = roc_summary(scored)
+            model = fit_knn(
+                [row.features for row in train], [row.label for row in train],
+                target,
+            )
+            scores = knn_classify(model, [row.features for row in test])
+            summary = roc_summary(zip(scores, [row.label for row in test]))
             assert summary.auc >= floor, (
                 f"{target.value} AUC {summary.auc:.4f} below {floor}"
             )
@@ -328,12 +328,14 @@ class TestPredictorFloors:
         test = rows_per_size((7,), 100, 45)
         aucs = []
         for size in grid:
-            k = default_k(len(train[size]))
-            scored = [
-                (knn_classify(train[size], row.features, k), row.label)
-                for row in test[size]
-            ]
-            aucs.append(roc_summary(scored).auc)
+            model = fit_knn(
+                [row.features for row in train[size]],
+                [row.label for row in train[size]],
+                PredictTarget.CONFOUNDER,
+            )
+            scores = knn_classify(model, [row.features for row in test[size]])
+            labels = [row.label for row in test[size]]
+            aucs.append(roc_summary(zip(scores, labels)).auc)
         for previous, current in itertools.pairwise(aucs):
             assert current >= previous - 0.03, f"AUC path {aucs}"
 
@@ -353,8 +355,9 @@ class TestAdjacencyRecovery:
             for j in range(1, p):
                 noise = rng.uniform(-math.sqrt(0.03), math.sqrt(0.03), n)
                 x[:, j] = x[:, j - 1] + noise
-            dag = estimate_adjacency(Dataset(x), tuple(range(p)))
-            if dag.edges == expected:
+            b_hat = estimate_adjacency(Dataset(x), tuple(range(p)))
+            edges = {(cause, effect) for effect, cause in zip(*np.nonzero(b_hat))}
+            if edges == expected:
                 hits += 1
         assert hits >= 95
 

@@ -14,6 +14,8 @@ from pathlingam.bench import (
 )
 from pathlingam.simgen import GenParams, generate
 
+from reference import prior_pairs
+
 
 class TestBenchConfig:
     def test_coercion(self):
@@ -123,19 +125,23 @@ class TestTrialPrior:
         truth = self._truth(6, seed=3)
         prior = trial_prior(truth, 1.0, seed=2)
         position = {v: i for i, v in enumerate(truth.true_order)}
-        for early, late in prior.pairs:
+        for early, late in prior_pairs(prior):
             assert position[early] < position[late]
 
     def test_partial_prior_subset_size(self):
         truth = self._truth(6, seed=4)
         prior = trial_prior(truth, 0.5, seed=5)
-        pinned = {v for pair in prior.pairs for v in pair}
+        pinned = {v for pair in prior_pairs(prior) for v in pair}
         assert len(pinned) == 3
 
     def test_deterministic_in_seed(self):
         truth = self._truth(6, seed=5)
-        assert trial_prior(truth, 0.5, 7).pairs == trial_prior(truth, 0.5, 7).pairs
-        seeds = {tuple(sorted(trial_prior(truth, 0.5, s).pairs)) for s in range(12)}
+        assert prior_pairs(trial_prior(truth, 0.5, 7)) == prior_pairs(
+            trial_prior(truth, 0.5, 7)
+        )
+        seeds = {
+            tuple(sorted(prior_pairs(trial_prior(truth, 0.5, s)))) for s in range(12)
+        }
         assert len(seeds) > 1
 
 

@@ -151,6 +151,18 @@ class TestDiscover:
         assert code == 0
         assert json.loads(result_path.read_text())["order"] == [3, 1, 0, 2]
 
+    def test_single_index_sequences_carry_no_order(self, tmp_path):
+        out = _gen(tmp_path, p=4, n=300, seed=6)
+        prior_path = tmp_path / "prior.json"
+        prior_path.write_text(json.dumps([[2, 0], [9]]))
+        result_path = tmp_path / "r.json"
+        assert main(
+            ["discover", "--data", str(out / "data.csv"),
+             "--prior", str(prior_path), "--out", str(result_path)]
+        ) == 0
+        order = json.loads(result_path.read_text())["order"]
+        assert order.index(2) < order.index(0)
+
     def test_cyclic_prior_exits_3(self, tmp_path, capsys):
         out = _gen(tmp_path)
         prior_path = tmp_path / "cycle.json"
@@ -438,6 +450,23 @@ class TestBench:
         table = capsys.readouterr().out
         assert "spp-plr" in table and "direct-plr" in table
 
+    def test_cells_json_booleans_agree_with_csv(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert main(
+            ["bench", "--p", "3", "--n", "60", "--trials", "1", "--methods",
+             "spp-plr", "--with-confounders", "both", "--out", str(out)]
+        ) == 0
+        capsys.readouterr()
+        cells = json.loads((out / "cells.json").read_text())
+        header, *lines = (out / "cells.csv").read_text().splitlines()
+        assert len(lines) == len(cells) == 2
+        for cell, line in zip(cells, lines):
+            fields = dict(zip(header.split(","), line.split(",")))
+            for key in ("confounded", "valid"):
+                assert isinstance(cell[key], bool)
+                assert fields[key] == json.dumps(cell[key])
+        assert {cell["confounded"] for cell in cells} == {False, True}
+
     def test_zero_trials_exits_2(self, tmp_path, capsys):
         code = main(
             ["bench", "--p", "3", "--trials", "0", "--out", str(tmp_path)]
@@ -487,6 +516,8 @@ class TestConfigFile:
         {"p": 3, "n": "fifty"},
         {"p": 3, "n": 50, "noise_family": None},
         {"p": 3, "n": 50, "seed": True},
+        {"p": 3.7, "n": 20},
+        {"p": 3, "n": 20.5},
     ])
     def test_value_the_type_cannot_take_exits_2(self, tmp_path, capsys, config):
         path = tmp_path / "config.json"
@@ -526,6 +557,19 @@ class TestConfigFile:
             digests.append(manifest["config_digest"])
         assert digests[0] == digests[1]
 
+    def test_whole_float_is_taken_as_its_int(self, tmp_path):
+        path = tmp_path / "config.json"
+        out = tmp_path / "run"
+        digests = []
+        for p in (3, 3.0):
+            path.write_text(json.dumps({"p": p, "n": 20}))
+            assert main(["gen", "--config", str(path), "--out", str(out)]) == 0
+            header = (out / "data.csv").read_text().splitlines()[0]
+            assert header.split(",") == ["x0", "x1", "x2"]
+            manifest = json.loads((out / "manifest.json").read_text())
+            digests.append(manifest["config_digest"])
+        assert digests[0] == digests[1]
+
     def test_list_options_take_json_lists(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"p": [3], "n": [120], "trials": 1,
@@ -545,6 +589,14 @@ class TestMalformedInputFiles:
         ("predict", {"target": "confounder", "k": 1, "features": 5,
                      "labels": [1.0]}),
         ("discover", [1, 2]),
+        ("predict", {"target": "confounder", "k": 1.5,
+                     "features": [[0.0] * 28] * 2, "labels": [1.0, 0.0]}),
+        ("predict", {"target": "confounder", "k": 1,
+                     "features": [[0.0] * 28, [0.0] * 27], "labels": [1.0, 0.0]}),
+        ("discover", [[0, 2.9]]),
+        ("discover", [[True, 0]]),
+        ("discover", [[0, 9]]),
+        ("discover", [[0, 10**12]]),  # rejected before a table is sized by it
     ])
     def test_exit_2(self, tmp_path, capsys, command, payload):
         path = tmp_path / "input.json"
@@ -563,6 +615,28 @@ class TestMalformedInputFiles:
                     "--out", out]
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_query_of_another_width_exits_2(self, tmp_path, capsys, command):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "target": "confounder", "k": 1, "features": [[0.0] * 28] * 2,
+            "labels": [1.0, 0.0],
+        }))
+        out = str(tmp_path / "out.json")
+        if command == "predict":
+            feats = tmp_path / "f.json"
+            feats.write_text(json.dumps({"moments": [0.5]}))
+            argv = ["predict", "--model", str(model), "--features", str(feats)]
+        else:
+            test = tmp_path / "t.jsonl"
+            rows = [{"features": [0.5] * 27, "label": label} for label in (0, 1)]
+            test.write_text("".join(json.dumps(row) + "\n" for row in rows))
+            argv = ["eval", "--model", str(model), "--test", str(test)]
+        assert main([*argv, "--out", out]) == 2
+        assert "width" in capsys.readouterr().err
         assert not os.path.exists(out)
 
 

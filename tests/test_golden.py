@@ -1,12 +1,15 @@
 """Golden outputs of a fixed command sequence on one seeded dataset.
 
-``golden/cli_p6.json`` records what the commands below produce: ``gen`` at
-p = 6, N = 300; ``discover`` with spp-plr, spp-plr under a prior,
-direct-plr and spp-knn; exhaustive ``pathdist`` with both measures; and
-``features`` of the PLR distribution. Orders and edge counts must match
-exactly. Costs, path lengths and moments must match to 1e-9 relative, which
-leaves room for kernels that reorder floating-point operations but not for a
-change of the objective.
+``golden/cli_p6.json`` records what the commands below produce: ``train``
+with ``--model`` for a binary target (confounder) and a continuous one
+(sparsity_value) at p = 3, with ``predict`` on held-out rows for both and
+``eval`` for the binary one; ``gen`` at p = 6, N = 300; ``discover`` with
+spp-plr, spp-plr under a prior, direct-plr and spp-knn; exhaustive
+``pathdist`` with both measures; and ``features`` of the PLR distribution.
+Orders, edge counts and neighbour counts must match exactly. Costs, path
+lengths, moments, model statistics and scores must match to 1e-9 relative,
+which leaves room for kernels that reorder floating-point operations but not
+for a change of the objective.
 
 Regenerate the file only when an output change is intended:
 
@@ -39,9 +42,34 @@ def _load(path):
         return json.load(handle)
 
 
+def _predictor_outputs(work):
+    """Train a model per target, then score held-out rows with it."""
+    out = {}
+    for target in ("confounder", "sparsity_value"):
+        model = os.path.join(work, f"{target}_model.json")
+        test = os.path.join(work, f"{target}_test.jsonl")
+        common = ["train", "--target", target, "--p", "3", "--n-samples", "200"]
+        _run([*common, "--trials-per-p", "24", "--seed", "0", "--out",
+              os.path.join(work, f"{target}_train.jsonl"), "--model", model])
+        _run([*common, "--trials-per-p", "10", "--seed", "1", "--out", test])
+        stored = _load(model)
+        entry = {key: stored[key] for key in ("k", "feature_mean", "feature_std")}
+        scores = os.path.join(work, f"{target}_scores.json")
+        k = ["--k", "3"] if target == "sparsity_value" else []
+        _run(["predict", "--model", model, "--features", test, *k,
+              "--out", scores])
+        entry["predict"] = _load(scores)
+        if target == "confounder":
+            roc = os.path.join(work, "roc.json")
+            _run(["eval", "--model", model, "--test", test, "--out", roc])
+            entry["eval"] = _load(roc)
+        out[f"train-{target}"] = entry
+    return out
+
+
 def run_commands(work):
     """Run the fixed command sequence in ``work``; return its outputs."""
-    out = {}
+    out = _predictor_outputs(work)
     _run(["gen", "--p", "6", "--n", "300", "--sparsity", "0.3",
           "--seed", "9", "--out", work])
     data = os.path.join(work, "data.csv")

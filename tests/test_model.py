@@ -8,10 +8,11 @@ from pathlingam.model import (
     CausalOrder,
     Dataset,
     GroundTruth,
-    PriorKnowledge,
     expand_prior,
     standardize_values,
 )
+
+from reference import prior_pairs
 
 
 class TestDataset:
@@ -96,37 +97,38 @@ class TestGroundTruth:
 
 class TestPriorKnowledge:
     def test_transitive_closure(self):
-        prior = PriorKnowledge(frozenset({(0, 1), (1, 2)}))
-        assert (0, 2) in prior.pairs
+        prior = expand_prior([(0, 1), (1, 2)])
+        assert (0, 2) in prior_pairs(prior)
 
     def test_cycle_raises(self):
         with pytest.raises(CyclicPrior):
-            PriorKnowledge(frozenset({(0, 1), (1, 0)}))
+            expand_prior([(0, 1), (1, 0)])
 
     def test_long_cycle_raises(self):
         with pytest.raises(CyclicPrior):
-            PriorKnowledge(frozenset({(0, 1), (1, 2), (2, 0)}))
+            expand_prior([(0, 1), (1, 2), (2, 0)])
 
     def test_self_pair_raises(self):
         with pytest.raises(CyclicPrior):
-            PriorKnowledge(frozenset({(3, 3)}))
+            expand_prior([(3, 3)])
 
     def test_bool_and_max_index(self):
-        assert not PriorKnowledge()
-        prior = PriorKnowledge(frozenset({(0, 4)}))
+        # The table has one entry per index up to the largest one.
+        assert not expand_prior([])
+        prior = expand_prior([(0, 4)])
         assert prior
-        assert prior.max_index() == 4
-        assert PriorKnowledge().max_index() == -1
+        assert len(prior) - 1 == 4
+        assert len(expand_prior([])) - 1 == -1
 
 
 class TestExpandPrior:
     def test_sequence_pairs(self):
         prior = expand_prior([(3, 1, 0)])
-        assert prior.pairs == frozenset({(3, 1), (1, 0), (3, 0)})
+        assert prior_pairs(prior) == frozenset({(3, 1), (1, 0), (3, 0)})
 
     def test_union_of_sequences_closes(self):
         prior = expand_prior([(0, 1), (1, 2)])
-        assert (0, 2) in prior.pairs
+        assert (0, 2) in prior_pairs(prior)
 
     def test_repeat_within_sequence_raises(self):
         with pytest.raises(CyclicPrior, match="repeats"):
@@ -143,6 +145,20 @@ class TestExpandPrior:
     def test_empty(self):
         assert not expand_prior([])
         assert not expand_prior([(), (5,)])
+
+    def test_table_is_sized_by_sequences_of_two_or_more(self):
+        assert expand_prior([(2, 0), (9,)], p=4) == expand_prior([(2, 0)])
+        assert len(expand_prior([(2, 0), (9,)])) == 3
+        with pytest.raises(ValueError, match="outside"):
+            expand_prior([(0, 10**12)], p=4)
+
+    @pytest.mark.parametrize("sequence", [(0, 2.9), (True, 0), (0, None)])
+    def test_indices_must_be_whole_numbers(self, sequence):
+        with pytest.raises((ValueError, TypeError)):
+            expand_prior([sequence])
+
+    def test_whole_float_index_is_its_int(self):
+        assert expand_prior([(2.0, 0)]) == expand_prior([(2, 0)])
 
 
 class TestStandardize:

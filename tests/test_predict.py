@@ -1,7 +1,5 @@
 """Tests for the kNN graph-property predictors and ROC summaries."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -15,7 +13,7 @@ from pathlingam.predict import (
     PredictTarget,
     RocSummary,
     build_training_set,
-    default_k,
+    fit_knn,
     knn_classify,
     knn_regress,
     roc_summary,
@@ -28,23 +26,41 @@ def _row(features, label):
     return LabeledFeatures(features=tuple(features), label=label)
 
 
+def _model(train, k=None, target=PredictTarget.CONFOUNDER):
+    return fit_knn(
+        [row.features for row in train], [row.label for row in train], target, k
+    )
+
+
+def _classify(train, query, k=None):
+    return knn_classify(_model(train, k), [query])[0]
+
+
+def _regress(train, query, k=None):
+    return knn_regress(_model(train, k, PredictTarget.SPARSITY_VALUE), [query])[0]
+
+
+def _default_k(train_size):
+    return _model([_row((0.0,), 0.0)] * train_size).k
+
+
 class TestDefaultK:
     def test_perfect_squares(self):
-        assert default_k(1) == 1
-        assert default_k(16) == 4
-        assert default_k(100) == 10
+        assert _default_k(1) == 1
+        assert _default_k(16) == 4
+        assert _default_k(100) == 10
 
     def test_rounds_up(self):
-        assert default_k(2) == 2
-        assert default_k(99) == 10
-        assert default_k(101) == 11
+        assert _default_k(2) == 2
+        assert _default_k(99) == 10
+        assert _default_k(101) == 11
 
 
 class TestNearestNeighbors:
     def test_single_neighbor_label(self):
         train = [_row((0.0, 0.0), 0.0), _row((5.0, 5.0), 1.0)]
-        assert knn_classify(train, (4.9, 5.1), k=1) == 1.0
-        assert knn_classify(train, (0.1, -0.1), k=1) == 0.0
+        assert _classify(train, (4.9, 5.1), k=1) == 1.0
+        assert _classify(train, (0.1, -0.1), k=1) == 0.0
 
     def test_score_is_positive_fraction(self):
         train = [
@@ -53,11 +69,11 @@ class TestNearestNeighbors:
             _row((0.2,), 0.0),
             _row((9.0,), 0.0),
         ]
-        assert knn_classify(train, (0.0,), k=3) == pytest.approx(2.0 / 3.0)
+        assert _classify(train, (0.0,), k=3) == pytest.approx(2.0 / 3.0)
 
     def test_regress_averages_labels(self):
         train = [_row((0.0,), 1.0), _row((0.1,), 3.0), _row((8.0,), 100.0)]
-        assert knn_regress(train, (0.05,), k=2) == 2.0
+        assert _regress(train, (0.05,), k=2) == 2.0
 
     def test_z_scoring_balances_scales(self):
         # Raw distances would be dominated by the first coordinate (scale
@@ -69,43 +85,98 @@ class TestNearestNeighbors:
         # Query shares the large coordinate with row 1 but row 0's small one.
         # Standardized, it sits at (+1, -1): exactly equidistant. The stable
         # argsort then keeps the earlier row.
-        assert knn_classify(train, (1000.0, 0.0), k=1) == 0.0
+        assert _classify(train, (1000.0, 0.0), k=1) == 0.0
         # Nudge the small coordinate toward row 1 and it wins.
-        assert knn_classify(train, (1000.0, 0.6), k=1) == 1.0
+        assert _classify(train, (1000.0, 0.6), k=1) == 1.0
 
     def test_constant_feature_dimension_is_harmless(self):
         train = [_row((3.0, 0.0), 0.0), _row((3.0, 4.0), 1.0)]
-        assert knn_classify(train, (3.0, 3.9), k=1) == 1.0
-        assert knn_classify(train, (-50.0, 0.2), k=1) == 0.0
+        assert _classify(train, (3.0, 3.9), k=1) == 1.0
+        assert _classify(train, (-50.0, 0.2), k=1) == 0.0
 
     def test_distance_ties_resolve_to_earlier_row(self):
         train = [_row((1.0,), 1.0), _row((-1.0,), 0.0)]
-        assert knn_classify(train, (0.0,), k=1) == 1.0
+        assert _classify(train, (0.0,), k=1) == 1.0
         reordered = [train[1], train[0]]
-        assert knn_classify(reordered, (0.0,), k=1) == 0.0
-
-    def test_query_object_with_moments_attribute(self):
-        train = [_row((0.0,), 0.0), _row((2.0,), 1.0)]
-        query = SimpleNamespace(moments=(1.9,))
-        assert knn_classify(train, query, k=1) == 1.0
+        assert _classify(reordered, (0.0,), k=1) == 0.0
 
     def test_k_out_of_range(self):
         train = [_row((0.0,), 0.0), _row((1.0,), 1.0)]
         with pytest.raises(ValueError):
-            knn_classify(train, (0.0,), k=0)
+            _classify(train, (0.0,), k=0)
         with pytest.raises(ValueError):
-            knn_classify(train, (0.0,), k=3)
+            _classify(train, (0.0,), k=3)
 
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
-            knn_classify([], (0.0,), k=1)
+            _classify([], (0.0,), k=1)
         with pytest.raises(EmptyTrainingSet):
-            knn_regress([], (0.0,))
+            _regress([], (0.0,))
 
     def test_default_k_used_when_omitted(self):
         train = [_row((float(i),), float(i % 2)) for i in range(4)]
         # k defaults to ceil(sqrt(4)) = 2; neighbors of 0.6 are rows 0 and 1.
-        assert knn_classify(train, (0.6,), k=None) == 0.5
+        assert _classify(train, (0.6,), k=None) == 0.5
+
+
+def _brute_force(features, labels, query, k):
+    """Labels of the k nearest rows to one query, with the z-scoring
+    statistics recomputed from the rows for this query alone."""
+    mean = features.mean(axis=0)
+    std = features.std(axis=0)
+    std[std == 0.0] = 1.0
+    scaled = (features - mean) / std
+    target = (np.asarray(query, dtype=float) - mean) / std
+    distances = np.sqrt(np.sum((scaled - target) ** 2, axis=1))
+    return labels[np.argsort(distances, kind="stable")[:k]]
+
+
+class TestKnnModel:
+    def test_statistics_and_default_k(self):
+        model = fit_knn([[1.0, 5.0], [3.0, 5.0]], [0.0, 1.0], "confounder")
+        assert model.target is PredictTarget.CONFOUNDER
+        assert model.k == 2
+        assert model.mean.tolist() == [2.0, 5.0]
+        assert model.std.tolist() == [1.0, 1.0]  # the constant column's 0 is 1
+
+    def test_scores_equal_a_per_query_brute_force(self):
+        rng = np.random.default_rng(60)
+        for _ in range(30):
+            n = int(rng.integers(1, 401))
+            width = int(rng.integers(1, 6))
+            features = rng.normal(size=(n, width)) * 10.0 ** rng.integers(
+                -3, 4, size=width
+            )
+            features[:, rng.integers(width)] = rng.normal()  # one constant column
+            # Training rows among the queries put distance ties in play.
+            queries = np.vstack([rng.normal(size=(5, width)), features[:3]])
+            k = int(rng.integers(1, n + 1))
+            binary = rng.integers(0, 2, size=n).astype(float)
+            model = fit_knn(features, binary, "confounder", k)
+            assert knn_classify(model, queries) == [
+                float(np.mean(_brute_force(features, binary, q, k) == 1.0))
+                for q in queries
+            ]
+            values = rng.random(n)
+            model = fit_knn(features, values, "sparsity_value", k)
+            assert knn_regress(model, queries) == [
+                float(_brute_force(features, values, q, k).mean()) for q in queries
+            ]
+
+    def test_rows_of_another_width_raise(self):
+        model = fit_knn([[0.0, 1.0], [1.0, 0.0]], [0.0, 1.0], "confounder")
+        with pytest.raises(ValueError, match="width"):
+            knn_classify(model, [[0.5]])
+        with pytest.raises(ValueError, match="width"):
+            knn_classify(model, [[0.5, 0.5], [0.5]])
+        with pytest.raises(ValueError):
+            fit_knn([[0.0, 1.0], [1.0]], [0.0, 1.0], "confounder")
+        with pytest.raises(ValueError):
+            fit_knn([0.0, 1.0], [0.0, 1.0], "confounder")
+
+    def test_no_queries_give_no_scores(self):
+        model = fit_knn([[0.0], [1.0]], [0.0, 1.0], "confounder")
+        assert knn_classify(model, []) == []
 
 
 class TestRocSummary:

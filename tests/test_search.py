@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathlingam.errors import ZeroVariance
+from pathlingam.errors import CyclicPrior, ZeroVariance
 from pathlingam.measures import MeasureConfig, MeasureKind, plr_costs
-from pathlingam.model import PriorKnowledge, expand_prior
+from pathlingam.model import Dataset, expand_prior
 from pathlingam.pathdist import enumerate_paths
 from pathlingam.search import (
     Lattice,
@@ -28,7 +28,7 @@ from pathlingam.search import (
 )
 from pathlingam.simgen import GenParams, generate
 
-from reference import plr, residual
+from reference import plr, prior_pairs, residual
 
 
 def _standardize(values):
@@ -155,7 +155,7 @@ def _search_cases(draw):
         for i in range(p) for j in range(i + 1, p)
     ]
     chosen = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
-    return data, config, PriorKnowledge(frozenset(chosen))
+    return data, config, expand_prior(chosen)
 
 
 class TestSearchProperties:
@@ -174,7 +174,7 @@ class TestSearchProperties:
         data, config, prior = case
         free = shortest_path_order(data, config).order
         constrained = shortest_path_order(data, config, prior).order
-        for a, b in prior.pairs:
+        for a, b in prior_pairs(prior):
             assert constrained.order.index(a) < constrained.order.index(b)
         assert constrained.total_cost >= free.total_cost
 
@@ -231,7 +231,7 @@ class TestPrior:
         data, _ = _dataset(41, p=5)
         free = shortest_path_order(data).order.order
         a, b = free[-1], free[0]  # force a reversal of the free result
-        prior = PriorKnowledge(frozenset({(a, b)}))
+        prior = expand_prior([(a, b)])
         constrained = shortest_path_order(data, prior=prior)
         assert constrained.order.order.index(a) < constrained.order.order.index(b)
 
@@ -240,20 +240,20 @@ class TestPrior:
         free = shortest_path_order(data)
         a, b = free.order.order[-1], free.order.order[0]
         constrained = shortest_path_order(
-            data, prior=PriorKnowledge(frozenset({(a, b)}))
+            data, prior=expand_prior([(a, b)])
         )
         assert constrained.order.total_cost >= free.order.total_cost - 1e-12
 
     def test_prior_index_out_of_range(self):
         data, _ = _dataset(43, p=3)
         with pytest.raises(ValueError, match="outside"):
-            shortest_path_order(data, prior=PriorKnowledge(frozenset({(0, 9)})))
+            shortest_path_order(data, prior=expand_prior([(0, 9)]))
 
 
 class TestAllowedCandidates:
     def test_blocks_effect_chosen_before_cause(self):
         data, _ = _dataset(44, p=3)
-        lattice = Lattice(data, prior=PriorKnowledge(frozenset({(0, 1)})))
+        lattice = Lattice(data, prior=expand_prior([(0, 1)]))
         # feature 1 becomes choosable only once feature 0 is gone
         assert lattice.allowed_candidates(0b111) == [0, 2]
         assert lattice.allowed_candidates(0b110) == [1, 2]
@@ -263,6 +263,58 @@ class TestAllowedCandidates:
         lattice = Lattice(data)
         assert lattice.allowed_candidates(0b111) == [0, 1, 2]
         assert lattice.allowed_candidates(0b101) == [0, 2]
+
+
+_PRIOR_DATA = np.random.default_rng(46).normal(size=(12, 6))
+
+
+@st.composite
+def _prior_cases(draw):
+    """A feature count and index sequences over it, repeats allowed."""
+    p = draw(st.integers(2, 6))
+    index = st.integers(0, p - 1)
+    sequences = draw(st.lists(st.lists(index, max_size=4), max_size=4))
+    return p, sequences
+
+
+class TestPriorLattice:
+    @settings(max_examples=300, deadline=None)
+    @given(_prior_cases())
+    def test_lattice_paths_are_the_orders_that_keep_every_sequence(self, case):
+        """expand_prior raises CyclicPrior exactly when no permutation keeps
+        every sequence's order; otherwise the permutations the lattice
+        allows step by step are exactly those that keep it."""
+        p, sequences = case
+
+        def keeps(permutation):
+            position = {f: i for i, f in enumerate(permutation)}
+            return all(
+                position[a] < position[b]
+                for sequence in sequences
+                for a, b in zip(sequence, sequence[1:])
+            )
+
+        keeping = {
+            perm for perm in itertools.permutations(range(p)) if keeps(perm)
+        }
+        if not keeping:
+            with pytest.raises(CyclicPrior):
+                expand_prior(sequences)
+            return
+        data = Dataset(_PRIOR_DATA[:, :p])
+        lattice = Lattice(data, prior=expand_prior(sequences))
+
+        def allowed(permutation):
+            mask = lattice.full
+            for feature in permutation:
+                if feature not in lattice.allowed_candidates(mask):
+                    return False
+                mask &= ~(1 << feature)
+            return True
+
+        assert {
+            perm for perm in itertools.permutations(range(p)) if allowed(perm)
+        } == keeping
 
 
 class TestResidualize:
@@ -347,8 +399,6 @@ class TestLattice:
         assert lattice.edges_evaluated == count
 
     def test_rejects_tiny_inputs(self):
-        from pathlingam.model import Dataset
-
         with pytest.raises(ValueError, match="at least 2 features"):
             Lattice(Dataset(np.random.default_rng(0).standard_normal((30, 1))))
         with pytest.raises(ValueError, match="p \\+ 2 samples"):

@@ -10,6 +10,7 @@ import pytest
 from pathlingam.util import (
     read_matrix_csv,
     stable_seed,
+    whole_number,
     write_json_atomic,
     write_matrix_csv,
 )
@@ -88,6 +89,29 @@ class TestJsonAtomic:
         write_json_atomic(path, {"x": 1})
         write_json_atomic(path, {"x": 2})
         assert json.loads(path.read_text()) == {"x": 2}
+
+    def test_booleans_stay_booleans(self, tmp_path):
+        path = tmp_path / "obj.json"
+        write_json_atomic(path, {"a": True, "b": [False, np.bool_(True)], "c": 1})
+        assert path.read_text().split() == [
+            "{", '"a":', "true,", '"b":', "[", "false,", "true", "],", '"c":', "1", "}"
+        ]
+
+
+class TestWholeNumber:
+    @pytest.mark.parametrize("value, expected", [
+        (3, 3), (3.0, 3), (-2, -2), ("7", 7), (np.int64(4), 4), (np.float64(5.0), 5),
+    ])
+    def test_whole_values(self, value, expected):
+        assert whole_number(value) == expected
+        assert type(whole_number(value)) is int
+
+    @pytest.mark.parametrize("value", [
+        2.9, True, False, float("inf"), float("nan"), "3.5", None, [3],
+    ])
+    def test_others_raise(self, value):
+        with pytest.raises((ValueError, TypeError)):
+            whole_number(value)
 
 
 class TestMatrixCsv:
