@@ -270,22 +270,31 @@ def _write_jsonl(path, rows):
     ))
 
 
-def _read_jsonl(path):
-    rows = []
+def _jsonl_records(path, keys):
+    """The JSON objects on the non-blank lines of ``path``, each of which
+    must hold every one of ``keys``."""
+    records = []
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             record = json.loads(line)
-            if "features" not in record or "label" not in record:
-                raise ValueError(f"{path}:{lineno}: needs features and label")
-            rows.append(LabeledFeatures(
-                features=record["features"],
-                label=record["label"],
-                meta=record.get("meta", {}),
-            ))
-    return rows
+            if not all(key in record for key in keys):
+                raise ValueError(f"{path}:{lineno}: needs {' and '.join(keys)}")
+            records.append(record)
+    return records
+
+
+def _read_jsonl(path):
+    return [
+        LabeledFeatures(
+            features=record["features"],
+            label=record["label"],
+            meta=record.get("meta", {}),
+        )
+        for record in _jsonl_records(path, ("features", "label"))
+    ]
 
 
 def _load_model(path, k):
@@ -304,7 +313,8 @@ def _load_model(path, k):
 
 def _load_queries(path):
     if path.endswith(".jsonl"):
-        return [list(row.features) for row in _read_jsonl(path)]
+        records = _jsonl_records(path, ("features",))
+        return [list(record["features"]) for record in records]
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     if isinstance(payload, dict):

@@ -7,13 +7,14 @@ Kraskov k-nearest-neighbor mutual information estimator, extended so one
 variable can be scored against a whole block of residuals.
 
 Both operate on an N x m array of residual columns, one column per
-remaining feature, and are pure functions; ``residualize`` is the one
-lattice transition that makes those columns. The likelihood ratio's
+remaining feature, and are pure functions. ``residualize_rows`` is the one
+lattice transition that makes those columns, for a stack of states held as
+rows; ``residualize`` is its one-state case. The likelihood ratio's
 entropies all come from one blocked kernel, fed in two ways: pairwise
 residuals of one state (``plr_matrix``, for the search), or the columns of
 many lattice states at once (``state_entropies``, for a per-state entropy
-table). Only the kNN estimator needs scipy, and it imports scipy when it
-first runs, so the likelihood ratio never loads it.
+table read by ``layer_costs``). Only the kNN estimator needs scipy, and it
+imports scipy when it first runs, so the likelihood ratio never loads it.
 """
 
 import math
@@ -72,21 +73,40 @@ def k_from_rule(rule, n_samples):
     raise ValueError(f"unknown k rule {rule!r}")
 
 
-def residualize(columns, pos):
-    """Drop column ``pos``, regressing it out of every other column.
+def residualize_rows(stack, parents, pos):
+    """The lattice transition for many states at once.
 
-    This is the single lattice transition: each remaining column x is
-    replaced by its least-squares residual x - b c on the chosen column c,
-    with b = cov(x, c) / var(c), all in one rank-1 update.
+    ``stack`` is a K x m x N array holding the m residual columns of each of
+    K states as contiguous rows. State k of the result is state
+    ``parents[k]`` of the stack without row ``pos[k]``: each remaining row x
+    is replaced by its least-squares residual x - b c on the chosen row c,
+    with b = cov(x, c) / var(c), in one rank-1 update. Every state's sums
+    run along its own rows, and its products are a matrix-vector product of
+    their own, so a state's result does not depend on the other states of
+    the stack.
     """
-    chosen = columns[:, pos]
-    centered = chosen - chosen.mean()
-    var = centered @ centered
-    if var == 0.0:
-        raise ZeroVariance(f"residual column {pos} is constant at this state")
-    kept = np.delete(columns, pos, axis=1)
-    kept -= chosen[:, None] * (centered @ kept / var)
+    parents = np.asarray(parents, dtype=np.intp)
+    pos = np.asarray(pos, dtype=np.intp)
+    chosen = stack[parents, pos]
+    centered = chosen - chosen.mean(axis=1)[:, None]
+    var = (centered * centered).sum(axis=1)
+    if np.any(var == 0.0):
+        constant = int(pos[np.flatnonzero(var == 0.0)[0]])
+        raise ZeroVariance(f"residual column {constant} is constant at this state")
+    others = np.arange(stack.shape[1] - 1)[None, :]
+    others = others + (others >= pos[:, None])
+    kept = stack[parents[:, None], others]
+    slope = np.matmul(kept, centered[:, :, None]) / var[:, None, None]
+    kept -= chosen[:, None, :] * slope
     return kept
+
+
+def residualize(columns, pos):
+    """Drop column ``pos`` of an N x m block, regressing it out of every other
+    column: ``residualize_rows`` on one state. Returns an N x (m - 1) view
+    of the child's rows."""
+    rows = np.ascontiguousarray(np.asarray(columns, dtype=float).T)
+    return residualize_rows(rows[None], [0], [pos])[0].T
 
 
 # Samples per scratch buffer of the entropy kernel. The sample axis is walked
@@ -164,10 +184,25 @@ def state_entropies(stack, width):
     of ``width`` columns each, one row per column. Returns two length-K
     arrays: the entropy of each row after centring and scaling it to unit
     variance, and its standard deviation. A row of zero variance raises
-    DegenerateCorrelation: it is a residual with nothing left.
+    DegenerateCorrelation: it is a residual with nothing left. The stack is
+    walked in chunks of whole states that fill one row block of the kernel,
+    so its scratch buffers stay in cache however many states come at once.
     """
     stack = np.ascontiguousarray(stack, dtype=float)
     k, n = stack.shape
+    rows = _block_rows(n, width)
+    chunk = width * max(1, _BLOCK_ELEMENTS // (width * rows))
+    entropies, std = np.empty(k), np.empty(k)
+    for start in range(0, k, chunk):
+        part = slice(start, start + chunk)
+        entropies[part], std[part] = _row_entropies(stack[part], rows)
+    return entropies, std
+
+
+def _row_entropies(stack, rows):
+    # Entropies and scales of the rows of ``stack``, with ``rows`` samples
+    # per kernel block.
+    n = stack.shape[1]
     centered = stack - stack.mean(axis=1)[:, None]
     std = np.sqrt(np.mean(centered * centered, axis=1))
     if np.any(std == 0.0):
@@ -177,48 +212,65 @@ def state_entropies(stack, width):
     def fill(out, start, stop):
         np.divide(centered[:, start:stop], scale, out=out)
 
-    return _max_entropy(fill, (k,), n, _block_rows(n, width)), std
+    return _max_entropy(fill, (stack.shape[0],), n, rows), std
 
 
 def _plr_ratios(e):
     """Likelihood ratios R_ij = (h_j - h_i) + (E_ij - E_ji).
 
-    E_ij is the entropy of standardized candidate i after regressing out
-    candidate j, and the diagonal of ``e`` holds h_i, the entropy of
-    standardized candidate i itself. The result is antisymmetric with an
-    exactly zero diagonal by construction.
+    ``e`` is a stack of m x m matrices. E_ij is the entropy of standardized
+    candidate i after regressing out candidate j, and the diagonal of ``e``
+    holds h_i, the entropy of standardized candidate i itself. The result is
+    antisymmetric with an exactly zero diagonal by construction.
     """
-    h = np.diag(e)
-    return (h[None, :] - h[:, None]) + (e - e.T)
+    h = np.diagonal(e, axis1=-2, axis2=-1)
+    return (h[..., None, :] - h[..., :, None]) + (e - np.swapaxes(e, -1, -2))
 
 
-def table_ratios(state, children):
-    """``plr_matrix`` of a state from its entry in a per-state entropy table.
+def layer_ratios(h, scale, child_h, child_scale):
+    """``plr_matrix`` of K states of m candidates from a per-state entropy table.
 
-    An entry is the pair (entropies, scales) that ``state_entropies`` gives
-    for the state's m columns; ``children[j]`` is the entry of the state
+    A state's entry is the pair (entropies, scales) that ``state_entropies``
+    gives for its m columns: ``h`` and ``scale`` are K x m. ``child_h`` and
+    ``child_scale`` are K x m x (m - 1): [k, j] is the entry of state k
     without candidate j. By the Frisch-Waugh-Lovell theorem, column i of
     that child is the residual of column i on column j, so E_ij is the
     child's entropy of i, and its scale is sqrt(1 - rho_ij^2) times column
     i's. Pairs are checked for collinearity on that 1 - rho_ij^2 by the
     same test as in ``plr_matrix``.
     """
-    h, scale = state
-    m = h.size
+    k, m = h.shape
     off = ~np.eye(m, dtype=bool)
-    e = np.empty((m, m))
-    kept = np.zeros((m, m))  # kept[i, j]: share of column i's scale left on j
-    # e.T[off] runs over j, then i != j: child j's columns in order.
-    e.T[off] = np.concatenate([child[0] for child in children])
-    kept.T[off] = np.concatenate([child[1] for child in children])
-    np.fill_diagonal(e, h)
-    kept /= scale[:, None]
-    _check_kept_variance(kept[off] * kept[off])
+    e = np.empty((k, m, m))
+    kept = np.zeros((k, m, m))  # kept[., i, j]: share of column i's scale left on j
+    # Transposed, off-diagonal entries run over j, then i != j: child j's
+    # columns in order.
+    np.swapaxes(e, 1, 2)[:, off] = child_h.reshape(k, -1)
+    np.swapaxes(kept, 1, 2)[:, off] = child_scale.reshape(k, -1)
+    diagonal = np.arange(m)
+    e[:, diagonal, diagonal] = h
+    kept /= scale[:, :, None]
+    _check_kept_variance(kept[:, off] * kept[:, off])
     return _plr_ratios(e)
 
 
+def layer_costs(h, scale, child_h, child_scale):
+    """PLR step costs of K states from table entries (see ``layer_ratios``):
+    ``plr_costs`` up to rounding, K x m."""
+    return _step_costs(layer_ratios(h, scale, child_h, child_scale))
+
+
+def table_ratios(state, children):
+    """``layer_ratios`` of one state: ``state`` is its table entry and
+    ``children[j]`` that of the state without candidate j."""
+    h, scale = (np.asarray(part, dtype=float)[None] for part in state)
+    child_h = np.array([child[0] for child in children], dtype=float)[None]
+    child_scale = np.array([child[1] for child in children], dtype=float)[None]
+    return layer_ratios(h, scale, child_h, child_scale)[0]
+
+
 def table_costs(state, children):
-    """PLR step costs from table entries: ``plr_costs`` up to rounding."""
+    """``layer_costs`` of one state, from its table entries."""
     return _step_costs(table_ratios(state, children))
 
 
@@ -261,7 +313,7 @@ def plr_matrix(columns):
 
 def _step_costs(entries):
     neg = np.minimum(entries, 0.0)
-    return (neg * neg).sum(axis=1) / (entries.shape[0] - 1)
+    return (neg * neg).sum(axis=-1) / (entries.shape[-1] - 1)
 
 
 def plr_costs(columns):
@@ -371,4 +423,7 @@ def knn_step_cost(columns, pos, config):
         return 0.0
     xc = columns[:, pos]
     k = k_from_rule(config.k_rule, xc.size)
-    return max(0.0, knn_mi(residualize(columns, pos), xc, k))
+    # The trees take C-ordered points; a transposed view would be copied on
+    # every build and query.
+    x_block = np.ascontiguousarray(residualize(columns, pos))
+    return max(0.0, knn_mi(x_block, xc, k))

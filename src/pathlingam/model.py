@@ -151,8 +151,13 @@ def expand_prior(orderings, p=None):
     when a must precede f, transitively closed. It has an entry per index up
     to the largest in a sequence of two or more (more than ``p`` entries
     raise ValueError), so a prior with no ordered pair is the empty tuple. A
-    repeated index or sequences that imply a cycle raise CyclicPrior.
+    sequence that is not a list or tuple raises ValueError: a string's
+    characters are not indices. A repeated index or sequences that imply a
+    cycle raise CyclicPrior.
     """
+    for sequence in orderings:
+        if not isinstance(sequence, (list, tuple)):
+            raise ValueError(f"prior sequence {sequence!r} is not a list of indices")
     sequences = [[whole_number(i) for i in sequence] for sequence in orderings]
     size = max((max(seq) + 1 for seq in sequences if len(seq) > 1), default=0)
     if p is not None and size > p:

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateDistribution, TooManyFeatures
-from .search import Lattice, TableLattice
+from .search import Lattice
 
 LOG_EPSILON = 1e-12
 ENUMERATION_CAP = 8
@@ -59,27 +59,42 @@ class MomentFeatures:
 def enumerate_paths(data, config=None, max_features=ENUMERATION_CAP):
     """Total cost of every one of the p! orderings.
 
-    A depth-first walk of the subset lattice reuses each edge weight across
-    all the permutations sharing it, so the lattice's 2^(p-1) * p edges are
-    each evaluated once (PLR weights from the lattice's entropy table).
-    Lengths come out in lexicographic permutation order.
+    Each of the lattice's 2^(p-1) * p edges is weighed once (PLR weights by
+    the layered fill of ``Lattice.fill_costs``). The totals are then extended
+    forward one lattice layer per numpy step, each partial path by every
+    candidate of its state in ascending order, so lengths come out in
+    lexicographic permutation order, and each adds its steps in path order,
+    as a walk of that permutation would.
     """
     p = data.n_features
     if p > max_features:
         raise TooManyFeatures(f"p={p} exceeds the enumeration cap {max_features}")
-    lattice = TableLattice(data, config)
-    lengths = []
-
-    def walk(mask, acc):
-        if mask.bit_count() == 1:
-            lengths.append(acc)  # goal edge adds exactly 0
-            return
+    lattice = Lattice(data, config)
+    states = [mask for mask in range(lattice.full + 1) if mask.bit_count() >= 2]
+    lattice.fill_costs(states)
+    # cost[mask, j] and bit[mask, j]: the step cost and the bit of the j-th
+    # lowest feature of mask.
+    cost = np.zeros((lattice.full + 1, p))
+    bit = np.zeros((lattice.full + 1, p), dtype=np.int64)
+    for mask in states:
         costs = lattice.costs_at(mask)
-        for feature in sorted(costs):
-            walk(mask & ~(1 << feature), acc + costs[feature])
+        features = sorted(costs)
+        cost[mask, :len(features)] = [costs[f] for f in features]
+        bit[mask, :len(features)] = [1 << f for f in features]
+    totals = np.zeros(1)
+    at = np.array([lattice.full])
+    for width in range(p, 1, -1):  # the goal edge adds exactly 0
+        totals = (totals[:, None] + cost[at, :width]).ravel()
+        at = (at[:, None] & ~bit[at, :width]).ravel()
+    return PathDistribution(lengths=tuple(totals.tolist()), mode=PathMode.EXHAUSTIVE)
 
-    walk(lattice.full, 0.0)
-    return PathDistribution(lengths=tuple(lengths), mode=PathMode.EXHAUSTIVE)
+
+def _steps(permutation, full):
+    """The (state, chosen feature) pairs of a path's weighed edges."""
+    mask = full
+    for feature in permutation[:-1]:
+        yield mask, feature
+        mask &= ~(1 << feature)
 
 
 def sample_paths(data, config, n, seed):
@@ -94,23 +109,26 @@ def sample_paths(data, config, n, seed):
     The entropy table pays off when states are reached from several
     parents. With fewer visits than a third of the states, most states are
     reached once and the table's work on their children is wasted, so
-    costs come from the pairwise kernel.
+    costs come from the pairwise kernel; otherwise the states the draws
+    pass through are filled by layers first.
     """
     n = int(n)
     if n < 1:
         raise ValueError("need at least one sampled path")
-    p = data.n_features
-    dense = 3 * n * (p - 1) >= 1 << p
-    lattice = (TableLattice if dense else Lattice)(data, config)
+    lattice = Lattice(data, config)
     rng = np.random.default_rng(seed)
+    permutations = [rng.permutation(lattice.p).tolist() for _ in range(n)]
+    if 3 * n * (lattice.p - 1) >= 1 << lattice.p:
+        lattice.fill_costs({
+            mask
+            for permutation in permutations
+            for mask, _ in _steps(permutation, lattice.full)
+        })
     lengths = []
-    for _ in range(n):
-        permutation = rng.permutation(lattice.p)
-        mask = lattice.full
+    for permutation in permutations:
         acc = 0.0
-        for feature in permutation[:-1]:
-            acc += lattice.costs_at(mask)[int(feature)]
-            mask &= ~(1 << int(feature))
+        for mask, feature in _steps(permutation, lattice.full):
+            acc += lattice.costs_at(mask)[feature]
         lengths.append(acc)
     return PathDistribution(lengths=tuple(lengths), mode=PathMode.SAMPLED)
 

@@ -10,7 +10,8 @@ Edge weights are evaluated lazily (only when a state is expanded) and
 memoized per lattice edge. The search, which expands few states, weighs a
 state's edges with the pairwise PLR kernel on that state's columns; path
 enumeration and dense path sampling, which reach states from several
-parents, read them from a per-state entropy table (``TableLattice``).
+parents, memoize theirs ahead of time from a per-state entropy table filled
+one lattice layer at a time (``Lattice.fill_costs``).
 """
 
 import heapq
@@ -23,10 +24,11 @@ from .measures import (
     MeasureConfig,
     MeasureKind,
     knn_step_cost,
+    layer_costs,
     plr_costs,
     residualize,
+    residualize_rows,
     state_entropies,
-    table_costs,
 )
 from .model import CausalOrder, standardize_values
 
@@ -44,6 +46,29 @@ class SearchResult:
 def _position(mask, feature):
     # Residual columns are ordered by ascending feature index.
     return (mask & ((1 << feature) - 1)).bit_count()
+
+
+def _peeled(mask, full):
+    # The feature whose removal makes ``mask`` canonically: the highest one
+    # removed, so the features leave the full state in ascending order.
+    return (full & ~mask).bit_length() - 1
+
+
+# Most parent-row elements one block of the layered fill works on: each of
+# its temporaries stays near 8 MB, whatever p and N.
+_FILL_BLOCK_ELEMENTS = 1 << 20
+
+
+class _Layer:
+    """One lattice layer of the layered fill. ``index`` maps each of its
+    states to its index in ``rows`` (states x width x N residual columns)
+    and in ``h`` and ``scale`` (entropies and scales, where filled)."""
+
+    def __init__(self, masks, width, n):
+        self.index = {mask: k for k, mask in enumerate(masks)}
+        self.rows = np.empty((len(masks), width, n))
+        self.h = np.empty((len(masks), width))
+        self.scale = np.empty((len(masks), width))
 
 
 class Lattice:
@@ -80,8 +105,7 @@ class Lattice:
         cached = self._columns.get(mask)
         if cached is not None:
             return cached
-        removed = self.full & ~mask
-        last = removed.bit_length() - 1  # canonical: peel the highest index
+        last = _peeled(mask, self.full)
         parent = self.columns(mask | (1 << last))
         columns = residualize(parent, _position(mask, last))
         columns.setflags(write=False)
@@ -110,59 +134,115 @@ class Lattice:
         cached = self._costs.get(mask)
         if cached is not None:
             return cached
-        allowed = self.allowed_candidates(mask)
         if self.config.kind is MeasureKind.PLR:
-            by_position = self._plr_costs(mask)
-            costs = {f: float(by_position[_position(mask, f)]) for f in allowed}
-        else:
-            columns = self.columns(mask)
-            costs = {
-                f: knn_step_cost(columns, _position(mask, f), self.config)
-                for f in allowed
-            }
-        self.edges_evaluated += len(allowed)
+            return self._memoize(mask, plr_costs(self.columns(mask)))
+        columns = self.columns(mask)
+        costs = {
+            f: knn_step_cost(columns, _position(mask, f), self.config)
+            for f in self.allowed_candidates(mask)
+        }
+        self.edges_evaluated += len(costs)
         self._costs[mask] = costs
         return costs
 
-    def _plr_costs(self, mask):
-        return plr_costs(self.columns(mask))
+    def _memoize(self, mask, by_position):
+        # PLR costs of every candidate, by residual-column position.
+        costs = {
+            f: float(by_position[_position(mask, f)])
+            for f in self.allowed_candidates(mask)
+        }
+        self.edges_evaluated += len(costs)
+        self._costs[mask] = costs
+        return costs
 
+    def fill_costs(self, masks):
+        """Memoize the PLR step costs of many states (each of >= 2 features).
 
-class TableLattice(Lattice):
-    """A lattice for callers that visit most states from each of their parents.
-
-    PLR costs come from a table ``h[mask]`` of per-state entropies: those of
-    the standardized canonical columns of each state, kept with the
-    columns' scales. A state's costs need its own entropies and its
-    children's, so each state's entropies are computed once, not once per
-    parent as with the pairwise kernel. The missing children of a state go
-    through one kernel call. The costs equal ``Lattice.costs_at`` up to
-    rounding, and each is a function of its state alone, whichever states
-    shared a kernel call.
-    """
-
-    def __init__(self, data, config=None, prior=None):
-        super().__init__(data, config, prior)
-        self._table = {}
-
-    def _plr_costs(self, mask):
-        children = [mask & ~(1 << f) for f in range(self.p) if mask & (1 << f)]
-        self._fill_table([mask])
-        self._fill_table(children)
-        return table_costs(self._table[mask], [self._table[c] for c in children])
-
-    def _fill_table(self, masks):
-        # One kernel call for the missing states among ``masks``, which all
-        # hold the same number of features.
-        missing = [mask for mask in masks if mask not in self._table]
-        if not missing:
+        The costs come from a table of per-state entropies, those of each
+        state's standardized canonical columns, filled one lattice layer
+        (popcount) at a time from the full state down. Within a layer, each
+        block of states takes one batched transition from the canonical
+        parents' columns and one kernel call; once the layer below has its
+        entropies, the asked states' costs take one batched evaluation. Only
+        the columns of the layer being built and of its parent layer are
+        held. The states filled are the asked ones, their children (for
+        entropies) and the canonical ancestors of both (for columns). Each
+        cost equals ``costs_at``'s up to rounding and is a function of its
+        state alone, whichever states were filled with it. kNN costs are
+        left to ``costs_at``.
+        """
+        if self.config.kind is not MeasureKind.PLR:
             return
-        width = missing[0].bit_count()
-        stack = np.concatenate([self.columns(mask).T for mask in missing])
-        entropies, scales = state_entropies(stack, width)
-        for k, mask in enumerate(missing):
-            part = slice(k * width, (k + 1) * width)
-            self._table[mask] = (entropies[part], scales[part])
+        asked = {mask for mask in masks if mask not in self._costs}
+        if not asked:
+            return
+        entropies = asked | {
+            mask & ~(1 << f) for mask in asked for f in self._features(mask)
+        }
+        filled = {self.full}
+        for mask in entropies:
+            while mask not in filled:
+                filled.add(mask)
+                mask |= 1 << _peeled(mask, self.full)
+        by_width = [[] for _ in range(self.p + 1)]
+        for mask in sorted(filled):
+            by_width[mask.bit_count()].append(mask)
+        above = None
+        for width in range(self.p, 0, -1):
+            if not by_width[width]:
+                break
+            layer = self._fill_layer(by_width[width], above, entropies)
+            if above is not None:
+                self._fill_layer_costs(above, layer, asked)
+            above = layer
+
+    def _fill_layer(self, masks, above, entropies):
+        # Columns of ``masks`` (one layer) from the layer above, and the
+        # entropies of those among ``entropies``, in blocks of states.
+        root = self._columns[self.full]
+        width, n = masks[0].bit_count(), root.shape[0]
+        layer = _Layer(masks, width, n)
+        wanted = np.array([mask in entropies for mask in masks])
+        if above is None:
+            layer.rows[0] = root.T
+        else:
+            peeled = [_peeled(mask, self.full) for mask in masks]
+            parents = [above.index[mask | (1 << f)] for mask, f in zip(masks, peeled)]
+            positions = [_position(mask, f) for mask, f in zip(masks, peeled)]
+        block = max(1, _FILL_BLOCK_ELEMENTS // ((width + 1) * n))
+        for start in range(0, len(masks), block):
+            part = slice(start, start + block)
+            if above is not None:
+                layer.rows[part] = residualize_rows(
+                    above.rows, parents[part], positions[part]
+                )
+            keep = wanted[part]
+            if keep.any():
+                stack = layer.rows[part][keep].reshape(-1, n)
+                h, scale = state_entropies(stack, width)
+                layer.h[part][keep] = h.reshape(-1, width)
+                layer.scale[part][keep] = scale.reshape(-1, width)
+        return layer
+
+    def _fill_layer_costs(self, above, layer, asked):
+        # Costs of the asked states of ``above``, whose children are ``layer``.
+        masks = [mask for mask in above.index if mask in asked]
+        if not masks:
+            return
+        states = [above.index[mask] for mask in masks]
+        children = [
+            [layer.index[mask & ~(1 << f)] for f in self._features(mask)]
+            for mask in masks
+        ]
+        costs = layer_costs(
+            above.h[states], above.scale[states],
+            layer.h[children], layer.scale[children],
+        )
+        for mask, by_position in zip(masks, costs):
+            self._memoize(mask, by_position)
+
+    def _features(self, mask):
+        return [f for f in range(self.p) if mask >> f & 1]
 
 
 def _reconstruct(parent, full):

@@ -56,6 +56,8 @@ def json_ready(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) <= {float}:  # plain floats, as path lengths are
+            return list(obj)
         return [json_ready(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): json_ready(v) for k, v in obj.items()}

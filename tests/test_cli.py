@@ -410,6 +410,38 @@ class TestTrainPredictEval:
         assert code == 2
         capsys.readouterr()
 
+    def test_predict_reads_unlabeled_jsonl_rows(self, tmp_path):
+        rows_path, model_path = self._train(tmp_path, trials=14)
+        rows = [json.loads(line) for line in rows_path.read_text().splitlines()]
+        unlabeled = tmp_path / "queries.jsonl"
+        unlabeled.write_text("".join(
+            json.dumps({"features": row["features"]}) + "\n" for row in rows
+        ))
+        scores = []
+        for features in (rows_path, unlabeled):
+            out = tmp_path / "prediction.json"
+            assert main(
+                ["predict", "--model", str(model_path), "--features",
+                 str(features), "--out", str(out)]
+            ) == 0
+            scores.append(json.loads(out.read_text())["scores"])
+        assert scores[0] == scores[1] and len(scores[0]) == len(rows)
+
+    def test_eval_needs_labels(self, tmp_path, capsys):
+        rows_path, model_path = self._train(tmp_path, trials=14)
+        unlabeled = tmp_path / "queries.jsonl"
+        unlabeled.write_text("".join(
+            json.dumps({"features": json.loads(line)["features"]}) + "\n"
+            for line in rows_path.read_text().splitlines()
+        ))
+        out = tmp_path / "roc.json"
+        assert main(
+            ["eval", "--model", str(model_path), "--test", str(unlabeled),
+             "--out", str(out)]
+        ) == 2
+        assert "needs features and label" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_single_class_exits_5(self, tmp_path, capsys):
         model_path = tmp_path / "m.json"
         row = {"features": [0.0] * 28, "label": 1.0, "meta": {}}
@@ -597,6 +629,7 @@ class TestMalformedInputFiles:
         ("discover", [[True, 0]]),
         ("discover", [[0, 9]]),
         ("discover", [[0, 10**12]]),  # rejected before a table is sized by it
+        ("discover", ["21"]),  # a string is not a sequence of indices
     ])
     def test_exit_2(self, tmp_path, capsys, command, payload):
         path = tmp_path / "input.json"

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pathlingam import pathdist
 from pathlingam.errors import DegenerateDistribution, TooManyFeatures, ZeroVariance
 from pathlingam.model import Dataset
 from pathlingam.pathdist import (
@@ -19,7 +18,7 @@ from pathlingam.pathdist import (
     moment_features,
     sample_paths,
 )
-from pathlingam.search import shortest_path_order
+from pathlingam.search import Lattice, shortest_path_order
 from pathlingam.simgen import GenParams, generate
 
 from reference import plr
@@ -110,13 +109,13 @@ class TestSample:
         # p = 7: the table is used from 3 n (p - 1) >= 2^p, n = 8.
         data = _dataset(12, p=7)
         built = []
+        fill_costs = Lattice.fill_costs
 
-        class Spy(pathdist.TableLattice):
-            def __init__(self, *args):
-                built.append(True)
-                super().__init__(*args)
+        def spy(self, masks):
+            built.append(True)
+            return fill_costs(self, masks)
 
-        monkeypatch.setattr(pathdist, "TableLattice", Spy)
+        monkeypatch.setattr(Lattice, "fill_costs", spy)
         sparse = sample_paths(data, None, 7, seed=4)
         assert not built
         dense = sample_paths(data, None, 8, seed=4)

@@ -21,7 +21,6 @@ from pathlingam.model import Dataset, expand_prior
 from pathlingam.pathdist import enumerate_paths
 from pathlingam.search import (
     Lattice,
-    TableLattice,
     direct_lingam_order,
     residualize,
     shortest_path_order,
@@ -416,35 +415,66 @@ def _states_with_edges(p):
     return [mask for mask in range(1, 1 << p) if mask.bit_count() >= 2]
 
 
-class TestTableLattice:
+class TestLayeredFill:
     def test_costs_match_pairwise_lattice_on_every_state(self):
         for seed in (70, 71):
             data, _ = _dataset(seed, p=5, sparsity=0.5)
-            pairwise, table = Lattice(data), TableLattice(data)
+            pairwise, filled = Lattice(data), Lattice(data)
+            filled.fill_costs(_states_with_edges(5))
             for mask in _states_with_edges(5):
                 expected = pairwise.costs_at(mask)
-                costs = table.costs_at(mask)
+                costs = filled.costs_at(mask)
                 assert sorted(costs) == sorted(expected)
                 for feature, cost in costs.items():
                     assert cost == pytest.approx(
                         expected[feature], rel=1e-9, abs=1e-12
                     )
-            assert table.edges_evaluated == pairwise.edges_evaluated
+            assert filled.edges_evaluated == pairwise.edges_evaluated
 
     def test_costs_do_not_depend_on_visit_order(self):
         data, _ = _dataset(72, p=5, sparsity=0.3)
         states = _states_with_edges(5)
-        forward, shuffled = TableLattice(data), TableLattice(data)
-        expected = {mask: forward.costs_at(mask) for mask in states}
+        whole, one_by_one = Lattice(data), Lattice(data)
+        whole.fill_costs(states)
+        expected = {mask: whole.costs_at(mask) for mask in states}
         order = np.random.default_rng(3).permutation(len(states))
         for index in order:
             mask = states[index]
-            assert shuffled.costs_at(mask) == expected[mask]
+            one_by_one.fill_costs([mask])
+            assert one_by_one.costs_at(mask) == expected[mask]
 
     def test_knn_costs_come_from_the_pairwise_path(self):
         data, _ = _dataset(73, p=3, n=200)
         config = MeasureConfig(MeasureKind.KNN_MI)
         mask = 0b111
-        assert TableLattice(data, config).costs_at(mask) == Lattice(
-            data, config
-        ).costs_at(mask)
+        filled = Lattice(data, config)
+        filled.fill_costs([mask])
+        assert filled.costs_at(mask) == Lattice(data, config).costs_at(mask)
+
+    @settings(max_examples=30, deadline=None)
+    @given(p=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_subset_fill_and_enumeration_match_the_full_fill(self, p, seed, data):
+        """Costs of states filled as a random subset are == to those of the
+        full fill, and every enumerated total is == to a walk that adds
+        those costs in path order."""
+        dataset, _ = _dataset(seed, p=p, n=200)
+        states = _states_with_edges(p)
+        subset = data.draw(st.lists(st.sampled_from(states), unique=True))
+        whole, part = Lattice(dataset), Lattice(dataset)
+        whole.fill_costs(states)
+        part.fill_costs(subset)
+        assert part.edges_evaluated == sum(mask.bit_count() for mask in subset)
+        for mask in subset:
+            assert part.costs_at(mask) == whole.costs_at(mask)
+        totals = []
+
+        def walk(mask, acc):
+            if mask.bit_count() == 1:
+                totals.append(acc)
+                return
+            costs = whole.costs_at(mask)
+            for feature in sorted(costs):
+                walk(mask & ~(1 << feature), acc + costs[feature])
+
+        walk(whole.full, 0.0)
+        assert enumerate_paths(dataset).lengths == tuple(totals)

@@ -90,6 +90,18 @@ class TestJsonAtomic:
         write_json_atomic(path, {"x": 2})
         assert json.loads(path.read_text()) == {"x": 2}
 
+    def test_plain_values_are_written_as_json_dumps_writes_them(self, tmp_path):
+        path = tmp_path / "obj.json"
+        obj = {
+            "lengths": tuple(np.random.default_rng(0).uniform(0, 1, 50).tolist()),
+            "floats": [0.1, -2.5e-300, 1e300, 3.0],
+            "mixed": [1, 2.5, True, "x", None, [0.5, 2]],
+            "empty": [],
+            "nested": {"k": 3, "v": (1.5,)},
+        }
+        write_json_atomic(path, obj)
+        assert path.read_bytes() == (json.dumps(obj, indent=2) + "\n").encode()
+
     def test_booleans_stay_booleans(self, tmp_path):
         path = tmp_path / "obj.json"
         write_json_atomic(path, {"a": True, "b": [False, np.bool_(True)], "c": 1})
