@@ -10,7 +10,6 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -24,20 +23,23 @@ from .util import map_tasks, stable_seed
 log = logging.getLogger(__name__)
 
 
-class Method(Enum):
-    PLR_SPP = "spp-plr"
-    PLR_DIRECT = "direct-plr"
-    KNN_SPP = "spp-knn"
+# Method name -> (searcher, measure kind) of its trials.
+SEARCHERS = {
+    "spp-plr": (shortest_path_order, MeasureKind.PLR),
+    "direct-plr": (direct_lingam_order, MeasureKind.PLR),
+    "spp-knn": (shortest_path_order, MeasureKind.KNN_MI),
+}
 
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """The experimental grid; ``with_confounders`` is both/true/false."""
+    """The experimental grid; ``with_confounders`` is both/true/false, and
+    ``methods`` are names in ``SEARCHERS``."""
 
     p_values: tuple
     n_values: tuple
     trials: int
-    methods: tuple = (Method.PLR_SPP, Method.PLR_DIRECT)
+    methods: tuple = ("spp-plr", "direct-plr")
     with_confounders: str = "false"
     prior_fracs: tuple = (0.0,)
     seed: int = 0
@@ -45,9 +47,7 @@ class BenchConfig:
     def __post_init__(self):
         object.__setattr__(self, "p_values", tuple(int(p) for p in self.p_values))
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        object.__setattr__(
-            self, "methods", tuple(Method(m) for m in self.methods)
-        )
+        object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(
             self, "prior_fracs", tuple(float(f) for f in self.prior_fracs)
         )
@@ -55,6 +55,9 @@ class BenchConfig:
             raise ValueError("trials must be at least 1")
         if not (self.p_values and self.n_values and self.methods and self.prior_fracs):
             raise ValueError("the grid needs at least one cell")
+        for method in self.methods:
+            if method not in SEARCHERS:
+                raise ValueError(f"unknown method {method!r}")
         if self.with_confounders not in ("both", "true", "false"):
             raise ValueError("with_confounders must be both, true or false")
         if any(not 0.0 <= f <= 1.0 for f in self.prior_fracs):
@@ -78,7 +81,7 @@ class BenchCell:
     mean_runtime: float
     mean_edges: float
     trials: int
-    method: Method
+    method: str
     p: int
     n: int
     confounded: bool
@@ -110,18 +113,11 @@ def trial_prior(truth, prior_frac, seed):
 
 def run_trial(method, p, n, confounded, prior_frac, seed):
     """One benchmark trial; returns (ordering error, runtime, edge count)."""
-    method = Method(method)
+    search, kind = SEARCHERS[method]
     params = sample_benchmark_params(p, n, confounded, seed)
     data, truth = generate(params)
     prior = trial_prior(truth, prior_frac, seed)
-    if method is Method.PLR_SPP:
-        result = shortest_path_order(data, MeasureConfig(MeasureKind.PLR), prior)
-    elif method is Method.PLR_DIRECT:
-        result = direct_lingam_order(data, MeasureConfig(MeasureKind.PLR), prior)
-    else:
-        result = shortest_path_order(
-            data, MeasureConfig(MeasureKind.KNN_MI), prior
-        )
+    result = search(data, MeasureConfig(kind), prior)
     e_o = ordering_error(result.order, truth.true_order)
     return e_o, result.wall_time, result.edges_evaluated
 
@@ -133,7 +129,7 @@ def _run_trial_task(task):
     except Exception as error:  # noqa: BLE001 - per-trial isolation
         log.warning(
             "trial failed (method=%s p=%s n=%s confounded=%s frac=%s): %s",
-            method.value, p, n, confounded, prior_frac, error,
+            method, p, n, confounded, prior_frac, error,
         )
         return None
 
@@ -141,7 +137,7 @@ def _run_trial_task(task):
 def trial_seed(config_seed, p, n, method, confounded, prior_frac, index):
     """The documented stable per-trial seed derivation."""
     return stable_seed(
-        int(config_seed), int(p), int(n), Method(method).value,
+        int(config_seed), int(p), int(n), method,
         bool(confounded), float(prior_frac), int(index),
     )
 
@@ -195,7 +191,7 @@ def _aggregate(good, failed, p, n, method, confounded, frac):
         log.warning(
             "cell invalid (method=%s p=%s n=%s confounded=%s frac=%s): "
             "%d of %d trials failed",
-            method.value, p, n, confounded, frac, failed, failed + len(good),
+            method, p, n, confounded, frac, failed, failed + len(good),
         )
     return cell
 

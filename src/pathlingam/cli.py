@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .adjacency import estimate_adjacency
-from .bench import BenchConfig, run_benchmark
+from .bench import SEARCHERS as _SEARCHERS, BenchConfig, run_benchmark
 from .errors import EmptyTrainingSet, PathLingamError
 from .measures import KRule, MeasureConfig, MeasureKind
 from .model import Dataset, expand_prior
@@ -44,7 +44,6 @@ from .pathdist import (
 )
 from .predict import (
     BINARY_TARGETS,
-    LabeledFeatures,
     PredictTarget,
     build_training_set,
     check_enumeration_cap,
@@ -53,10 +52,10 @@ from .predict import (
     knn_regress,
     roc_summary,
 )
-from .search import direct_lingam_order, shortest_path_order
 from .simgen import GenParams, generate
 from .util import (
     _write_atomic,
+    json_ready,
     map_tasks,
     read_matrix_csv,
     whole_number,
@@ -64,11 +63,6 @@ from .util import (
     write_matrix_csv,
 )
 
-_SEARCHERS = {
-    "spp-plr": (shortest_path_order, MeasureKind.PLR),
-    "direct-plr": (direct_lingam_order, MeasureKind.PLR),
-    "spp-knn": (shortest_path_order, MeasureKind.KNN_MI),
-}
 _MEASURES = {"plr": MeasureKind.PLR, "knn": MeasureKind.KNN_MI}
 _MODES = {"exhaustive": PathMode.EXHAUSTIVE, "sample": PathMode.SAMPLED}
 
@@ -259,15 +253,8 @@ def _load_dataset(path):
     return Dataset(matrix, tuple(names))
 
 
-def _write_jsonl(path, rows):
-    _write_atomic(path, "".join(
-        json.dumps({
-            "features": list(row.features),
-            "label": row.label,
-            "meta": row.meta,
-        }) + "\n"
-        for row in rows
-    ))
+def _write_jsonl(path, records):
+    _write_atomic(path, "".join(json.dumps(json_ready(r)) + "\n" for r in records))
 
 
 def _jsonl_records(path, keys):
@@ -286,17 +273,6 @@ def _jsonl_records(path, keys):
     return records
 
 
-def _read_jsonl(path):
-    return [
-        LabeledFeatures(
-            features=record["features"],
-            label=record["label"],
-            meta=record.get("meta", {}),
-        )
-        for record in _jsonl_records(path, ("features", "label"))
-    ]
-
-
 def _load_model(path, k):
     """The model stored at ``path``, fitted to the file's rows and labels,
     with neighbour count ``k`` or, if that is None, the stored one."""
@@ -313,8 +289,7 @@ def _load_model(path, k):
 
 def _load_queries(path):
     if path.endswith(".jsonl"):
-        records = _jsonl_records(path, ("features",))
-        return [list(record["features"]) for record in records]
+        return [record["features"] for record in _jsonl_records(path, ("features",))]
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     if isinstance(payload, dict):
@@ -391,10 +366,7 @@ def cmd_pathdist(values):
         dist = enumerate_paths(data, config, max_features=values["max_features"])
     else:
         dist = sample_paths(data, config, values["samples"], values["seed"])
-    write_json_atomic(
-        values["out"],
-        {"mode": dist.mode.value, "lengths": list(dist.lengths)},
-    )
+    write_json_atomic(values["out"], {"mode": dist.mode.value, "lengths": dist.lengths})
     return [values["out"]]
 
 
@@ -404,11 +376,10 @@ def cmd_features(values):
         payload = json.load(handle)
     if not isinstance(payload, dict) or "lengths" not in payload or "mode" not in payload:
         raise ValueError("distribution file needs mode and lengths keys")
-    dist = PathDistribution(tuple(payload["lengths"]), PathMode(payload["mode"]))
+    dist = PathDistribution(payload["lengths"], PathMode(payload["mode"]))
     feats = moment_features(dist, values["log_epsilon"])
     write_json_atomic(
-        values["out"],
-        {"log_epsilon": feats.log_epsilon, "moments": list(feats.moments)},
+        values["out"], {"log_epsilon": feats.log_epsilon, "moments": feats.moments}
     )
     return [values["out"]]
 
@@ -439,7 +410,7 @@ def cmd_train(values):
         raise EmptyTrainingSet("no trial produced a usable row")
     outputs = [values["out"]]
     model = None if values["model"] is None else fit_knn(
-        [row.features for row in rows], [row.label for row in rows],
+        [row["features"] for row in rows], [row["label"] for row in rows],
         values["target"], values["k"],
     )
     _write_jsonl(outputs[0], rows)
@@ -473,18 +444,18 @@ def cmd_eval(values):
     model = _load_model(values["model"], values["k"])
     if model.target not in BINARY_TARGETS:
         raise ValueError(f"target {model.target.value} is not binary; no ROC")
-    test = _read_jsonl(values["test"])
+    test = _jsonl_records(values["test"], ("features", "label"))
     if not test:
         raise ValueError("test file holds no rows")
-    scores = knn_classify(model, [row.features for row in test])
-    summary = roc_summary(zip(scores, [row.label for row in test]))
+    scores = knn_classify(model, [row["features"] for row in test])
+    summary = roc_summary(zip(scores, [row["label"] for row in test]))
     write_json_atomic(values["out"], dataclasses.asdict(summary))
     return [values["out"]]
 
 
 def _cell_record(cell):
     return {
-        "method": cell.method.value,
+        "method": cell.method,
         "p": cell.p,
         "n": cell.n,
         "confounded": cell.confounded,
@@ -523,7 +494,7 @@ def _cells_table(cells):
     lines = [header, "-" * len(header)]
     for cell in cells:
         lines.append(
-            f"{cell.method.value:<12}{cell.p:>3}{cell.n:>7}"
+            f"{cell.method:<12}{cell.p:>3}{cell.n:>7}"
             f"{('yes' if cell.confounded else 'no'):>6}"
             f"{cell.prior_frac:>7.2f}{cell.trials:>5}{cell.failed_trials:>6}"
             f"{cell.mean_eo:>10.4f}{cell.mean_runtime:>10.3f}"

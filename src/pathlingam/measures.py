@@ -260,20 +260,6 @@ def layer_costs(h, scale, child_h, child_scale):
     return _step_costs(layer_ratios(h, scale, child_h, child_scale))
 
 
-def table_ratios(state, children):
-    """``layer_ratios`` of one state: ``state`` is its table entry and
-    ``children[j]`` that of the state without candidate j."""
-    h, scale = (np.asarray(part, dtype=float)[None] for part in state)
-    child_h = np.array([child[0] for child in children], dtype=float)[None]
-    child_scale = np.array([child[1] for child in children], dtype=float)[None]
-    return layer_ratios(h, scale, child_h, child_scale)[0]
-
-
-def table_costs(state, children):
-    """``layer_costs`` of one state, from its table entries."""
-    return _step_costs(table_ratios(state, children))
-
-
 def plr_matrix(columns):
     """Likelihood-ratio matrix over a set of candidate columns.
 

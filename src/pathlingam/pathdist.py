@@ -7,13 +7,13 @@ log-transformed distribution are the feature vector consumed by the
 graph-property predictors.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DegenerateDistribution, TooManyFeatures
+from .model import _freeze
 from .search import Lattice
 
 LOG_EPSILON = 1e-12
@@ -28,30 +28,33 @@ class PathMode(Enum):
 
 @dataclass(frozen=True)
 class PathDistribution:
-    """Total path costs, one per enumerated or sampled permutation."""
+    """Total path costs, one per enumerated or sampled permutation, as a
+    read-only 1-D float array."""
 
-    lengths: tuple
+    lengths: np.ndarray
     mode: PathMode
 
     def __post_init__(self):
-        lengths = tuple(float(v) for v in self.lengths)
-        if any(v < 0 for v in lengths):
-            raise ValueError("path lengths must be nonnegative")
+        lengths = _freeze(self.lengths)
+        # A null read from JSON becomes NaN, which fails the comparison too.
+        if not (lengths.ndim == 1 and np.all(lengths >= 0)):
+            raise ValueError("path lengths must be a list of nonnegative numbers")
         object.__setattr__(self, "lengths", lengths)
 
 
 @dataclass(frozen=True)
 class MomentFeatures:
-    """Standardized moments 3..30 of the log-transformed path lengths."""
+    """Standardized moments 3..30 of the log-transformed path lengths, as a
+    read-only float array."""
 
-    moments: tuple
+    moments: np.ndarray
     log_epsilon: float = LOG_EPSILON
 
     def __post_init__(self):
-        moments = tuple(float(v) for v in self.moments)
-        if len(moments) != len(MOMENT_RANGE):
+        moments = _freeze(self.moments)
+        if moments.shape != (len(MOMENT_RANGE),):
             raise ValueError(f"expected {len(MOMENT_RANGE)} moments")
-        if not all(math.isfinite(v) for v in moments):
+        if not np.isfinite(moments).all():
             raise ValueError("moments must be finite")
         object.__setattr__(self, "moments", moments)
 
@@ -86,7 +89,7 @@ def enumerate_paths(data, config=None, max_features=ENUMERATION_CAP):
     for width in range(p, 1, -1):  # the goal edge adds exactly 0
         totals = (totals[:, None] + cost[at, :width]).ravel()
         at = (at[:, None] & ~bit[at, :width]).ravel()
-    return PathDistribution(lengths=tuple(totals.tolist()), mode=PathMode.EXHAUSTIVE)
+    return PathDistribution(lengths=totals, mode=PathMode.EXHAUSTIVE)
 
 
 def _steps(permutation, full):
@@ -130,7 +133,7 @@ def sample_paths(data, config, n, seed):
         for mask, feature in _steps(permutation, lattice.full):
             acc += lattice.costs_at(mask)[feature]
         lengths.append(acc)
-    return PathDistribution(lengths=tuple(lengths), mode=PathMode.SAMPLED)
+    return PathDistribution(lengths=lengths, mode=PathMode.SAMPLED)
 
 
 def moment_features(dist, log_epsilon=LOG_EPSILON):
@@ -139,7 +142,7 @@ def moment_features(dist, log_epsilon=LOG_EPSILON):
     Two-pass computation: center, standardize, then take powers of the
     standardized values, which stays stable up to order 30.
     """
-    lengths = np.asarray(dist.lengths, dtype=float)
+    lengths = dist.lengths
     if lengths.size < 2:
         raise DegenerateDistribution("need at least 2 path lengths")
     x = np.log(lengths + log_epsilon)
@@ -152,5 +155,5 @@ def moment_features(dist, log_epsilon=LOG_EPSILON):
     power = z * z
     for _ in MOMENT_RANGE:
         power = power * z
-        moments.append(float(power.mean()))
-    return MomentFeatures(moments=tuple(moments), log_epsilon=log_epsilon)
+        moments.append(power.mean())
+    return MomentFeatures(moments=moments, log_epsilon=log_epsilon)

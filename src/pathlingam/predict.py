@@ -9,7 +9,7 @@ computed, because high-order moments span many orders of magnitude.
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -60,21 +60,6 @@ BINARY_TARGETS = {
 
 
 @dataclass(frozen=True)
-class LabeledFeatures:
-    """One training or test row: feature vector, target value, provenance."""
-
-    features: tuple
-    label: float
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "features", tuple(float(v) for v in self.features)
-        )
-        object.__setattr__(self, "label", float(self.label))
-
-
-@dataclass(frozen=True)
 class RocSummary:
     """ROC metrics at the Youden-optimal operating point."""
 
@@ -109,14 +94,18 @@ def fit_knn(features, labels, target, k=None):
 
     This is the one place that decides the scaling (the rows' mean and std,
     a constant feature's std taken as 1) and the default k, ceil(sqrt(n)).
+    Rows and labels must be finite.
     """
     if len(features) != len(labels):
         raise ValueError("features and labels differ in length")
     if not len(features):
         raise EmptyTrainingSet("no training rows")
     features = np.array(features, dtype=float)  # rows of unequal width raise
+    labels = np.array(labels, dtype=float)
     if features.ndim != 2:
         raise ValueError("training rows must be lists of numbers")
+    if not (np.isfinite(features).all() and np.isfinite(labels).all()):
+        raise ValueError("training rows and labels must be finite")
     n = len(features)
     k = math.isqrt(n - 1) + 1 if k is None else int(k)
     if not 1 <= k <= n:
@@ -124,7 +113,7 @@ def fit_knn(features, labels, target, k=None):
     std = features.std(axis=0)
     std[std == 0.0] = 1.0
     return KnnModel(
-        features, np.array(labels, dtype=float), PredictTarget(target), k,
+        features, labels, PredictTarget(target), k,
         features.mean(axis=0), std,
     )
 
@@ -140,6 +129,8 @@ def _nearest_labels(model, queries):
         query = np.asarray(query, dtype=float)
         if query.shape != model.mean.shape:
             raise ValueError(f"query width {query.size}, model width {model.mean.size}")
+        if not np.isfinite(query).all():
+            raise ValueError("query values must be finite")
         target = (query - model.mean) / model.std
         distances = np.sqrt(np.sum((scaled - target) ** 2, axis=1))
         # Stable sort: distance ties resolve to the earlier training row.
@@ -159,12 +150,14 @@ def knn_regress(model, queries):
 def roc_summary(scores):
     """AUC, Youden-optimal threshold, and point metrics at that threshold.
 
-    ``scores`` is a sequence of (score, label) pairs with binary labels.
+    ``scores`` is a sequence of (score, label) pairs, each label 0 or 1.
     Tied scores are processed as a single threshold step, making the AUC the
     trapezoidal area (equivalently the tie-corrected rank statistic).
     """
-    pairs = [(float(s), int(label)) for s, label in scores]
-    n_pos = sum(label for _, label in pairs)
+    pairs = [(float(s), label) for s, label in scores]
+    if any(label not in (0, 1) for _, label in pairs):
+        raise ValueError("ROC labels must be 0 or 1")
+    n_pos = sum(label == 1 for _, label in pairs)
     n_neg = len(pairs) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("ROC needs both labels present")
@@ -269,7 +262,9 @@ def build_training_set(
     label. A trial whose parameters cannot generate data redraws them (see
     ``_generate_trial``), so every trial gets its data or the call raises
     GenerationFailed; trials that then fail numerically are skipped and
-    logged. Rows carry meta keys "p", "seed" and "target". Exhaustive mode
+    logged. Each row is the record that ``train`` writes as one JSONL line:
+    "features" (the moments array), "label", and "meta" with keys "p",
+    "seed" and "target". Exhaustive mode
     checks every p against ``max_features`` before the first trial and
     raises TooManyFeatures if one exceeds it.
     """
@@ -303,11 +298,9 @@ def build_training_set(
                     "skipping trial p=%s index=%s: %s", p, trial, error
                 )
                 continue
-            rows.append(
-                LabeledFeatures(
-                    features=features.moments,
-                    label=label,
-                    meta={"p": int(p), "seed": trial_seed, "target": target.value},
-                )
-            )
+            rows.append({
+                "features": features.moments,
+                "label": float(label),
+                "meta": {"p": int(p), "seed": trial_seed, "target": target.value},
+            })
     return rows

@@ -47,8 +47,8 @@ def whole_number(value):
 
 def json_ready(obj):
     """Convert numpy containers/scalars to plain Python for json.dump."""
-    if isinstance(obj, np.ndarray):
-        return [json_ready(v) for v in obj.tolist()]
+    if isinstance(obj, np.ndarray):  # numeric: tolist gives plain values
+        return obj.tolist()
     if isinstance(obj, (np.bool_, bool)):  # before int: bool subclasses int
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
@@ -56,8 +56,6 @@ def json_ready(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (list, tuple)):
-        if set(map(type, obj)) <= {float}:  # plain floats, as path lengths are
-            return list(obj)
         return [json_ready(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): json_ready(v) for k, v in obj.items()}

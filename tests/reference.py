@@ -13,6 +13,9 @@
   matrix of max-norm distances, with no tree and no sorting, against which
   ``measures.knn_mi`` must agree bit for bit.
 - ``prior_pairs``: the ordered pairs of a prior held as bitsets.
+- ``table_ratios`` and ``table_costs``: ``measures.layer_ratios`` and
+  ``measures.layer_costs`` called on one state, whose table entry and
+  children's entries are given as ``state_entropies`` returns them.
 """
 
 import math
@@ -21,7 +24,7 @@ import numpy as np
 from scipy.special import digamma
 
 from pathlingam.errors import DegenerateCorrelation, ZeroVariance
-from pathlingam.measures import GAMMA, H_GAUSS, K1, K2
+from pathlingam.measures import GAMMA, H_GAUSS, K1, K2, layer_costs, layer_ratios
 
 LOG2 = math.log(2.0)
 
@@ -125,3 +128,22 @@ def prior_pairs(before):
         for a in range(bits.bit_length())
         if bits >> a & 1
     }
+
+
+def _one_state(state, children):
+    """``layer_ratios``' arguments for one state: ``state`` is its table entry
+    and ``children[j]`` that of the state without candidate j."""
+    h, scale = (np.asarray(part, dtype=float)[None] for part in state)
+    child_h = np.array([child[0] for child in children], dtype=float)[None]
+    child_scale = np.array([child[1] for child in children], dtype=float)[None]
+    return h, scale, child_h, child_scale
+
+
+def table_ratios(state, children):
+    """``layer_ratios`` of one state, from its table entries."""
+    return layer_ratios(*_one_state(state, children))[0]
+
+
+def table_costs(state, children):
+    """``layer_costs`` of one state, from its table entries."""
+    return layer_costs(*_one_state(state, children))[0]

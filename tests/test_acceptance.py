@@ -18,9 +18,9 @@ import numpy as np
 from scipy import stats
 
 from pathlingam.adjacency import estimate_adjacency
-from pathlingam.bench import Method, run_trial
+from pathlingam.bench import run_trial
 from pathlingam.cli import main
-from pathlingam.measures import plr_costs, state_entropies, table_costs
+from pathlingam.measures import plr_costs, state_entropies
 from pathlingam.model import Dataset, standardize_values
 from pathlingam.pathdist import (
     PathDistribution,
@@ -30,7 +30,6 @@ from pathlingam.pathdist import (
     sample_paths,
 )
 from pathlingam.predict import (
-    LabeledFeatures,
     PredictTarget,
     build_training_set,
     fit_knn,
@@ -41,7 +40,7 @@ from pathlingam.search import residualize, shortest_path_order
 from pathlingam.simgen import generate, sample_benchmark_params
 from pathlingam.util import stable_seed
 
-from reference import plr
+from reference import plr, table_costs
 
 
 # Straight-line reimplementation of a single path's cost, shared with the
@@ -127,9 +126,9 @@ class TestBenchmarkLevels:
         spp, direct = [], []
         for trial in range(250):
             seed = stable_seed(42, "bands", trial)
-            spp.append(run_trial(Method.PLR_SPP, 5, 1000, False, 0.0, seed)[0])
+            spp.append(run_trial("spp-plr", 5, 1000, False, 0.0, seed)[0])
             direct.append(
-                run_trial(Method.PLR_DIRECT, 5, 1000, False, 0.0, seed)[0]
+                run_trial("direct-plr", 5, 1000, False, 0.0, seed)[0]
             )
         assert 0.16 <= float(np.mean(spp)) <= 0.26
         assert 0.17 <= float(np.mean(direct)) <= 0.27
@@ -143,10 +142,10 @@ class TestBenchmarkLevels:
             seed = stable_seed(42, "relative-p10", trial)
             confounded = trial % 2 == 0
             spp.append(
-                run_trial(Method.PLR_SPP, 10, 1000, confounded, 0.0, seed)[0]
+                run_trial("spp-plr", 10, 1000, confounded, 0.0, seed)[0]
             )
             direct.append(
-                run_trial(Method.PLR_DIRECT, 10, 1000, confounded, 0.0, seed)[0]
+                run_trial("direct-plr", 10, 1000, confounded, 0.0, seed)[0]
             )
         t_stat, p_value = stats.ttest_rel(spp, direct)
         assert float(np.mean(spp)) <= float(np.mean(direct))
@@ -164,7 +163,7 @@ class TestBenchmarkLevels:
             for trial in range(200):
                 seed = stable_seed(42, "prior-trend", trial)
                 e_o, _, n_edges = run_trial(
-                    Method.PLR_SPP, 8, 1000, False, frac, seed
+                    "spp-plr", 8, 1000, False, frac, seed
                 )
                 errors.append(e_o)
                 edges.append(n_edges)
@@ -281,11 +280,11 @@ class TestPredictorFloors:
             test = build_training_set(target, (7,), 520, seed=43)
             assert len(test) >= 500
             model = fit_knn(
-                [row.features for row in train], [row.label for row in train],
+                [row["features"] for row in train], [row["label"] for row in train],
                 target,
             )
-            scores = knn_classify(model, [row.features for row in test])
-            summary = roc_summary(zip(scores, [row.label for row in test]))
+            scores = knn_classify(model, [row["features"] for row in test])
+            summary = roc_summary(zip(scores, [row["label"] for row in test]))
             assert summary.auc >= floor, (
                 f"{target.value} AUC {summary.auc:.4f} below {floor}"
             )
@@ -317,11 +316,10 @@ class TestPredictorFloors:
                         dist = PathDistribution(
                             full.lengths[:size], PathMode.SAMPLED
                         )
-                        per_size[size].append(
-                            LabeledFeatures(
-                                moment_features(dist).moments, label
-                            )
-                        )
+                        per_size[size].append({
+                            "features": moment_features(dist).moments,
+                            "label": label,
+                        })
             return per_size
 
         train = rows_per_size((4, 5, 6), 100, 44)
@@ -329,12 +327,12 @@ class TestPredictorFloors:
         aucs = []
         for size in grid:
             model = fit_knn(
-                [row.features for row in train[size]],
-                [row.label for row in train[size]],
+                [row["features"] for row in train[size]],
+                [row["label"] for row in train[size]],
                 PredictTarget.CONFOUNDER,
             )
-            scores = knn_classify(model, [row.features for row in test[size]])
-            labels = [row.label for row in test[size]]
+            scores = knn_classify(model, [row["features"] for row in test[size]])
+            labels = [row["label"] for row in test[size]]
             aucs.append(roc_summary(zip(scores, labels)).auc)
         for previous, current in itertools.pairwise(aucs):
             assert current >= previous - 0.03, f"AUC path {aucs}"

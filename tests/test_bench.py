@@ -6,7 +6,6 @@ import pytest
 from pathlingam.bench import (
     BenchCell,
     BenchConfig,
-    Method,
     run_benchmark,
     run_trial,
     trial_prior,
@@ -24,7 +23,7 @@ class TestBenchConfig:
         )
         assert config.p_values == (3,)
         assert config.n_values == (200,)
-        assert config.methods == (Method.PLR_SPP,)
+        assert config.methods == ("spp-plr",)
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -72,7 +71,7 @@ class TestBenchCell:
             mean_runtime=0.01,
             mean_edges=9.0,
             trials=trials,
-            method=Method.PLR_SPP,
+            method="spp-plr",
             p=3,
             n=100,
             confounded=False,
@@ -91,7 +90,7 @@ class TestBenchCell:
 class TestTrialSeed:
     def test_deterministic_and_distinct(self):
         base = trial_seed(0, 3, 100, "spp-plr", False, 0.0, 0)
-        assert base == trial_seed(0, 3, 100, Method.PLR_SPP, False, 0.0, 0)
+        assert base == trial_seed(0, 3, 100, "spp-plr", False, 0.0, 0)
         variants = {
             trial_seed(0, 3, 100, "spp-plr", False, 0.0, 1),
             trial_seed(0, 4, 100, "spp-plr", False, 0.0, 0),
@@ -147,7 +146,7 @@ class TestTrialPrior:
 
 class TestRunTrial:
     def test_returns_error_time_edges(self):
-        e_o, wall, edges = run_trial(Method.PLR_SPP, 3, 300, False, 0.0, seed=0)
+        e_o, wall, edges = run_trial("spp-plr", 3, 300, False, 0.0, seed=0)
         assert 0.0 <= e_o <= 1.0
         assert wall > 0.0
         assert edges >= 3
@@ -155,7 +154,7 @@ class TestRunTrial:
     def test_full_prior_forces_truth(self):
         for index in range(4):
             seed = trial_seed(9, 4, 200, "spp-plr", False, 1.0, index)
-            e_o, _, _ = run_trial(Method.PLR_SPP, 4, 200, False, 1.0, seed)
+            e_o, _, _ = run_trial("spp-plr", 4, 200, False, 1.0, seed)
             assert e_o == 0.0
 
 
@@ -165,7 +164,7 @@ class TestRunBenchmark:
             p_values=(3,),
             n_values=(150,),
             trials=3,
-            methods=(Method.PLR_SPP, Method.PLR_DIRECT),
+            methods=("spp-plr", "direct-plr"),
             with_confounders="both",
             seed=11,
         )
@@ -193,7 +192,7 @@ class TestRunBenchmark:
 
     def test_full_prior_cell_is_perfect(self):
         config = self._config(
-            methods=(Method.PLR_SPP,), with_confounders="false", prior_fracs=(1.0,)
+            methods=("spp-plr",), with_confounders="false", prior_fracs=(1.0,)
         )
         (cell,) = run_benchmark(config)
         assert cell.mean_eo == 0.0

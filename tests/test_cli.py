@@ -630,6 +630,13 @@ class TestMalformedInputFiles:
         ("discover", [[0, 9]]),
         ("discover", [[0, 10**12]]),  # rejected before a table is sized by it
         ("discover", ["21"]),  # a string is not a sequence of indices
+        ("predict", {"target": "confounder", "k": 1,
+                     "features": [[0.0] * 28, [float("nan")] * 28],
+                     "labels": [1.0, 0.0]}),
+        ("predict", {"target": "confounder", "k": 1,
+                     "features": [[0.0] * 28, [None] * 28], "labels": [1.0, 0.0]}),
+        ("predict", {"target": "confounder", "k": 1, "features": [[0.0] * 28] * 2,
+                     "labels": [1.0, float("inf")]}),
     ])
     def test_exit_2(self, tmp_path, capsys, command, payload):
         path = tmp_path / "input.json"
@@ -670,6 +677,45 @@ class TestMalformedInputFiles:
             argv = ["eval", "--model", str(model), "--test", str(test)]
         assert main([*argv, "--out", out]) == 2
         assert "width" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_non_finite_query_exits_2(self, tmp_path, capsys, command):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "target": "confounder", "k": 1, "features": [[0.0] * 28, [1.0] * 28],
+            "labels": [1.0, 0.0],
+        }))
+        out = str(tmp_path / "out.json")
+        if command == "predict":
+            feats = tmp_path / "f.json"
+            feats.write_text(json.dumps({"moments": [float("nan")] * 28}))
+            argv = ["predict", "--model", str(model), "--features", str(feats)]
+        else:
+            test = tmp_path / "t.jsonl"
+            rows = [{"features": [value] * 28, "label": label}
+                    for value, label in ((0.5, 0), (float("nan"), 1))]
+            test.write_text("".join(json.dumps(row) + "\n" for row in rows))
+            argv = ["eval", "--model", str(model), "--test", str(test)]
+        assert main([*argv, "--out", out]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_eval_label_other_than_0_or_1_exits_2(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "target": "confounder", "k": 2,
+            "features": [[float(i)] * 28 for i in range(4)],
+            "labels": [0.0, 1.0, 0.0, 1.0],
+        }))
+        test = tmp_path / "t.jsonl"
+        rows = [{"features": [value] * 28, "label": label}
+                for value, label in ((0.2, 0.7), (1.4, 0.2), (2.9, 1.0))]
+        test.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        out = str(tmp_path / "roc.json")
+        assert main(["eval", "--model", str(model), "--test", str(test),
+                     "--out", out]) == 2
+        assert "0 or 1" in capsys.readouterr().err
         assert not os.path.exists(out)
 
 

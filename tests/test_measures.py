@@ -37,10 +37,9 @@ from pathlingam.measures import (
     plr_matrix,
     residualize,
     state_entropies,
-    table_ratios,
 )
 
-from reference import approx_entropy, ksg_mi, plr, residual
+from reference import approx_entropy, ksg_mi, plr, residual, table_ratios
 
 
 class TestKFromRule:

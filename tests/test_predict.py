@@ -9,7 +9,6 @@ from pathlingam.errors import EmptyTrainingSet, GenerationFailed, SingleClass
 from pathlingam.pathdist import enumerate_paths, moment_features
 from pathlingam.predict import (
     BINARY_TARGETS,
-    LabeledFeatures,
     PredictTarget,
     RocSummary,
     build_training_set,
@@ -23,12 +22,12 @@ from pathlingam.util import stable_seed
 
 
 def _row(features, label):
-    return LabeledFeatures(features=tuple(features), label=label)
+    return {"features": features, "label": label}
 
 
 def _model(train, k=None, target=PredictTarget.CONFOUNDER):
     return fit_knn(
-        [row.features for row in train], [row.label for row in train], target, k
+        [row["features"] for row in train], [row["label"] for row in train], target, k
     )
 
 
@@ -174,6 +173,16 @@ class TestKnnModel:
         with pytest.raises(ValueError):
             fit_knn([0.0, 1.0], [0.0, 1.0], "confounder")
 
+    def test_non_finite_rows_labels_and_queries_raise(self):
+        # A stable sort of all-NaN distances would return the first k rows.
+        with pytest.raises(ValueError, match="finite"):
+            fit_knn([[0.0, 1.0], [np.nan, 0.0]], [0.0, 1.0], "confounder")
+        with pytest.raises(ValueError, match="finite"):
+            fit_knn([[0.0, 1.0], [1.0, 0.0]], [0.0, np.inf], "confounder")
+        model = fit_knn([[0.0, 1.0], [1.0, 0.0]], [0.0, 1.0], "confounder")
+        with pytest.raises(ValueError, match="finite"):
+            knn_classify(model, [[0.5, 0.5], [np.nan, np.nan]])
+
     def test_no_queries_give_no_scores(self):
         model = fit_knn([[0.0], [1.0]], [0.0, 1.0], "confounder")
         assert knn_classify(model, []) == []
@@ -229,6 +238,10 @@ class TestRocSummary:
         with pytest.raises(SingleClass):
             roc_summary([(0.5, 0), (0.3, 0)])
 
+    def test_labels_other_than_0_and_1_rejected(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            roc_summary([(0.9, 0.7), (0.5, 0.2), (0.3, 1.0)])
+
     def test_summary_bounds_validated(self):
         with pytest.raises(ValueError):
             RocSummary(auc=1.2, optimal_threshold=0.0, precision=0.5, recall=0.5, accuracy=0.5)
@@ -241,18 +254,20 @@ class TestBuildTrainingSet:
         )
         assert 0 < len(rows) <= 6
         for row in rows:
-            assert len(row.features) == 28
-            assert row.label in (0.0, 1.0)
-            assert set(row.meta) == {"p", "seed", "target"}
-            assert row.meta["p"] == 3
-            assert row.meta["target"] == "confounder"
+            assert len(row["features"]) == 28
+            assert row["label"] in (0.0, 1.0)
+            assert set(row["meta"]) == {"p", "seed", "target"}
+            assert row["meta"]["p"] == 3
+            assert row["meta"]["target"] == "confounder"
 
     def test_deterministic(self):
         kwargs = dict(p_values=(3,), trials_per_p=4, seed=5)
         a = build_training_set("confounder", **kwargs)
         b = build_training_set("confounder", **kwargs)
-        assert [r.features for r in a] == [r.features for r in b]
-        assert [r.label for r in a] == [r.label for r in b]
+        assert np.array_equal(
+            [r["features"] for r in a], [r["features"] for r in b]
+        )
+        assert [r["label"] for r in a] == [r["label"] for r in b]
 
     def test_confounder_label_matches_params(self):
         # The label must be 1 exactly when the generating parameters included
@@ -260,15 +275,15 @@ class TestBuildTrainingSet:
         rows = build_training_set(
             PredictTarget.CONFOUNDER, p_values=(3,), trials_per_p=12, seed=1
         )
-        labels = {row.label for row in rows}
+        labels = {row["label"] for row in rows}
         assert labels == {0.0, 1.0}
 
     def test_sparsity_value_labels_are_continuous(self):
         rows = build_training_set(
             PredictTarget.SPARSITY_VALUE, p_values=(3,), trials_per_p=6, seed=2
         )
-        assert all(0.0 <= row.label <= 1.0 for row in rows)
-        assert any(row.label not in (0.0, 1.0) for row in rows)
+        assert all(0.0 <= row["label"] <= 1.0 for row in rows)
+        assert any(row["label"] not in (0.0, 1.0) for row in rows)
 
     def test_failed_generation_redraws_the_parameters(self):
         # Trial 89 of this grid draws parameters that cannot generate data.
@@ -283,17 +298,17 @@ class TestBuildTrainingSet:
             params = sample_benchmark_params(
                 4, 1000, with_confounders, int(rng.integers(0, 2**63))
             )
-            assert row.meta == {"p": 4, "seed": trial_seed, "target": "confounder"}
+            assert row["meta"] == {"p": 4, "seed": trial_seed, "target": "confounder"}
             if trial == 89:
                 with pytest.raises(GenerationFailed):
                     generate(params)
                 # The redraw keeps the trial's confounder coin.
-                assert with_confounders and row.label == 1.0
+                assert with_confounders and row["label"] == 1.0
                 continue
             data, _ = generate(params)
             features = moment_features(enumerate_paths(data))
-            assert row.features == features.moments
-            assert row.label == float(with_confounders)
+            assert np.array_equal(row["features"], features.moments)
+            assert row["label"] == float(with_confounders)
 
     def test_exhausted_redraws_raise(self, monkeypatch):
         calls = []

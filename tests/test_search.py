@@ -477,4 +477,4 @@ class TestLayeredFill:
                 walk(mask & ~(1 << feature), acc + costs[feature])
 
         walk(whole.full, 0.0)
-        assert enumerate_paths(dataset).lengths == tuple(totals)
+        assert np.array_equal(enumerate_paths(dataset).lengths, totals)

@@ -101,6 +101,15 @@ class TestJsonAtomic:
         }
         write_json_atomic(path, obj)
         assert path.read_bytes() == (json.dumps(obj, indent=2) + "\n").encode()
+        rng = np.random.default_rng(1)
+        for array in (
+            rng.uniform(0, 1, 50),
+            rng.standard_normal((4, 3)) * 1e300,
+            rng.uniform(0, 1, (2, 5)) > 0.5,
+        ):
+            write_json_atomic(path, array)
+            expected = json.dumps(array.tolist(), indent=2) + "\n"
+            assert path.read_bytes() == expected.encode()
 
     def test_booleans_stay_booleans(self, tmp_path):
         path = tmp_path / "obj.json"
