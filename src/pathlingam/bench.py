@@ -77,16 +77,16 @@ class BenchCell:
     when at most 10% of its configured trials failed.
     """
 
-    mean_eo: float
-    mean_runtime: float
-    mean_edges: float
-    trials: int
     method: str
     p: int
     n: int
     confounded: bool
     prior_frac: float
-    failed_trials: int = 0
+    trials: int
+    failed_trials: int
+    mean_eo: float
+    mean_runtime: float
+    mean_edges: float
 
     @property
     def valid(self):

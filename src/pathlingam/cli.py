@@ -38,6 +38,7 @@ from .pathdist import (
     LOG_EPSILON,
     PathDistribution,
     PathMode,
+    check_enumeration_cap,
     enumerate_paths,
     moment_features,
     sample_paths,
@@ -46,7 +47,6 @@ from .predict import (
     BINARY_TARGETS,
     PredictTarget,
     build_training_set,
-    check_enumeration_cap,
     fit_knn,
     knn_classify,
     knn_regress,
@@ -454,19 +454,13 @@ def cmd_eval(values):
 
 
 def _cell_record(cell):
-    return {
-        "method": cell.method,
-        "p": cell.p,
-        "n": cell.n,
-        "confounded": cell.confounded,
-        "prior_frac": cell.prior_frac,
-        "trials": cell.trials,
-        "failed_trials": cell.failed_trials,
-        "mean_eo": None if math.isnan(cell.mean_eo) else cell.mean_eo,
-        "mean_runtime": None if math.isnan(cell.mean_runtime) else cell.mean_runtime,
-        "mean_edges": None if math.isnan(cell.mean_edges) else cell.mean_edges,
-        "valid": cell.valid,
+    # A cell's fields in declaration order, NaN as null, then ``valid``.
+    record = {
+        name: None if isinstance(value, float) and math.isnan(value) else value
+        for name, value in dataclasses.asdict(cell).items()
     }
+    record["valid"] = cell.valid
+    return record
 
 
 def _write_cells_csv(path, records):

@@ -59,6 +59,15 @@ class MomentFeatures:
         object.__setattr__(self, "moments", moments)
 
 
+def check_enumeration_cap(p_values, path_mode, max_features):
+    """Raise TooManyFeatures if exhaustive mode would enumerate any p > cap."""
+    largest = max((int(p) for p in p_values), default=0)
+    if path_mode is PathMode.EXHAUSTIVE and largest > max_features:
+        raise TooManyFeatures(
+            f"p={largest} exceeds the enumeration cap {max_features}"
+        )
+
+
 def enumerate_paths(data, config=None, max_features=ENUMERATION_CAP):
     """Total cost of every one of the p! orderings.
 
@@ -70,8 +79,7 @@ def enumerate_paths(data, config=None, max_features=ENUMERATION_CAP):
     as a walk of that permutation would.
     """
     p = data.n_features
-    if p > max_features:
-        raise TooManyFeatures(f"p={p} exceeds the enumeration cap {max_features}")
+    check_enumeration_cap([p], PathMode.EXHAUSTIVE, max_features)
     lattice = Lattice(data, config)
     states = [mask for mask in range(lattice.full + 1) if mask.bit_count() >= 2]
     lattice.fill_costs(states)
@@ -103,17 +111,12 @@ def _steps(permutation, full):
 def sample_paths(data, config, n, seed):
     """Total costs of n orderings drawn uniformly with replacement.
 
-    Edge weights are memoized on the shared lattice, and permutations are
-    drawn one at a time, so a longer run with the same seed extends a
-    shorter one: the first min(n, n') draws coincide, exactly when both
-    runs weigh PLR edges the same way and up to rounding otherwise.
-
-    The draws make n (p - 1) state visits among the lattice's 2^p states.
-    The entropy table pays off when states are reached from several
-    parents. With fewer visits than a third of the states, most states are
-    reached once and the table's work on their children is wasted, so
-    costs come from the pairwise kernel; otherwise the states the draws
-    pass through are filled by layers first.
+    The n permutations are drawn one at a time, then the states they pass
+    through are weighed by the layered fill of ``Lattice.fill_costs`` and
+    each draw adds its steps in path order. Each length therefore equals
+    the enumerated length of its permutation bit for bit, and a longer run
+    with the same seed extends a shorter one exactly: the first min(n, n')
+    draws coincide.
     """
     n = int(n)
     if n < 1:
@@ -121,12 +124,11 @@ def sample_paths(data, config, n, seed):
     lattice = Lattice(data, config)
     rng = np.random.default_rng(seed)
     permutations = [rng.permutation(lattice.p).tolist() for _ in range(n)]
-    if 3 * n * (lattice.p - 1) >= 1 << lattice.p:
-        lattice.fill_costs({
-            mask
-            for permutation in permutations
-            for mask, _ in _steps(permutation, lattice.full)
-        })
+    lattice.fill_costs({
+        mask
+        for permutation in permutations
+        for mask, _ in _steps(permutation, lattice.full)
+    })
     lengths = []
     for permutation in permutations:
         acc = 0.0

@@ -14,17 +14,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    EmptyTrainingSet,
-    GenerationFailed,
-    SingleClass,
-    TooManyFeatures,
-)
+from .errors import EmptyTrainingSet, GenerationFailed, SingleClass
 from .measures import MeasureConfig
 from .metrics import ordering_error
 from .pathdist import (
     ENUMERATION_CAP,
     PathMode,
+    check_enumeration_cap,
     enumerate_paths,
     moment_features,
     sample_paths,
@@ -94,7 +90,7 @@ def fit_knn(features, labels, target, k=None):
 
     This is the one place that decides the scaling (the rows' mean and std,
     a constant feature's std taken as 1) and the default k, ceil(sqrt(n)).
-    Rows and labels must be finite.
+    Rows and labels must be finite, and labels of a binary target 0 or 1.
     """
     if len(features) != len(labels):
         raise ValueError("features and labels differ in length")
@@ -106,6 +102,9 @@ def fit_knn(features, labels, target, k=None):
         raise ValueError("training rows must be lists of numbers")
     if not (np.isfinite(features).all() and np.isfinite(labels).all()):
         raise ValueError("training rows and labels must be finite")
+    target = PredictTarget(target)
+    if target in BINARY_TARGETS and not np.isin(labels, (0.0, 1.0)).all():
+        raise ValueError(f"{target.value} labels must be 0 or 1")
     n = len(features)
     k = math.isqrt(n - 1) + 1 if k is None else int(k)
     if not 1 <= k <= n:
@@ -113,7 +112,7 @@ def fit_knn(features, labels, target, k=None):
     std = features.std(axis=0)
     std[std == 0.0] = 1.0
     return KnnModel(
-        features, labels, PredictTarget(target), k,
+        features, labels, target, k,
         features.mean(axis=0), std,
     )
 
@@ -212,15 +211,6 @@ def _label_for(target, params, data, truth, config):
     if target in (PredictTarget.SPP_EXACT, PredictTarget.DIRECT_EXACT):
         return 1.0 if e_o == 0.0 else 0.0
     return e_o
-
-
-def check_enumeration_cap(p_values, path_mode, max_features):
-    """Raise TooManyFeatures if exhaustive mode would enumerate any p > cap."""
-    largest = max((int(p) for p in p_values), default=0)
-    if path_mode is PathMode.EXHAUSTIVE and largest > max_features:
-        raise TooManyFeatures(
-            f"p={largest} exceeds the enumeration cap {max_features}"
-        )
 
 
 def _generate_trial(p, n_samples, with_confounders, first_seed, seed_parts):

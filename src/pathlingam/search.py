@@ -7,11 +7,12 @@ by how dependent that candidate still is on the rest, so the cheapest path is
 the most plausible causal ordering. Edges into the goal weigh exactly 0.
 
 Edge weights are evaluated lazily (only when a state is expanded) and
-memoized per lattice edge. The search, which expands few states, weighs a
-state's edges with the pairwise PLR kernel on that state's columns; path
-enumeration and dense path sampling, which reach states from several
-parents, memoize theirs ahead of time from a per-state entropy table filled
-one lattice layer at a time (``Lattice.fill_costs``).
+memoized per lattice edge. The searches, which expand one state at a time,
+weigh a state's edges with the pairwise PLR kernel on that state's columns;
+path enumeration and path sampling memoize theirs ahead of time from a
+per-state entropy table filled one lattice layer at a time
+(``Lattice.fill_costs``), so every path length they report is a path-order
+sum of the same per-state costs.
 """
 
 import heapq
@@ -167,9 +168,9 @@ class Lattice:
         the columns of the layer being built and of its parent layer are
         held. The states filled are the asked ones, their children (for
         entropies) and the canonical ancestors of both (for columns). Each
-        cost equals ``costs_at``'s up to rounding and is a function of its
-        state alone, whichever states were filled with it. kNN costs are
-        left to ``costs_at``.
+        cost is a function of its state alone, bit for bit, whichever states
+        were filled with it; the pairwise kernel of the searches gives the
+        same costs up to rounding. kNN costs are left to ``costs_at``.
         """
         if self.config.kind is not MeasureKind.PLR:
             return

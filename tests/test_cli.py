@@ -637,6 +637,11 @@ class TestMalformedInputFiles:
                      "features": [[0.0] * 28, [None] * 28], "labels": [1.0, 0.0]}),
         ("predict", {"target": "confounder", "k": 1, "features": [[0.0] * 28] * 2,
                      "labels": [1.0, float("inf")]}),
+        # A binary target's labels must be 0 or 1.
+        ("predict", {"target": "confounder", "k": 1, "features": [[0.0] * 28] * 3,
+                     "labels": [0.7, 0.9, 0.2]}),
+        ("predict", {"target": "sparsity_gt_half", "k": 1,
+                     "features": [[0.0] * 28] * 2, "labels": [0.0, 2.0]}),
     ])
     def test_exit_2(self, tmp_path, capsys, command, payload):
         path = tmp_path / "input.json"

@@ -177,6 +177,33 @@ class TestSearchProperties:
             assert constrained.order.index(a) < constrained.order.index(b)
         assert constrained.total_cost >= free.total_cost
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        search=st.sampled_from([shortest_path_order, direct_lingam_order]),
+        p=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        confounders=st.integers(0, 1),
+        data=st.data(),
+    )
+    def test_permuting_columns_keeps_the_total(
+        self, search, p, seed, confounders, data
+    ):
+        # Totals only: under a tie the two runs may pick different orders.
+        original, _ = _dataset(seed, p=p, n=300, confounders=confounders)
+        columns = data.draw(st.permutations(range(p)))
+        permuted = Dataset(values=original.values[:, columns])
+        found = search(original).order.total_cost
+        moved = search(permuted).order
+        assert moved.total_cost == pytest.approx(found, rel=1e-9, abs=1e-12)
+        # The permuted run's order, in original column indices, costs as
+        # much on the original data.
+        lattice = Lattice(original)
+        mask, total = lattice.full, 0.0
+        for f in moved.order[:-1]:
+            total += lattice.costs_at(mask)[columns[f]]
+            mask &= ~(1 << columns[f])
+        assert total == pytest.approx(found, rel=1e-9, abs=1e-12)
+
 
 class TestAccounting:
     def test_p2_counts_exactly(self):
