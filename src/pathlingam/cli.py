@@ -54,13 +54,14 @@ from .predict import (
 )
 from .simgen import GenParams, generate
 from .util import (
-    _write_atomic,
-    json_ready,
     map_tasks,
+    read_json,
+    read_jsonl,
     read_matrix_csv,
     whole_number,
+    write_csv,
     write_json_atomic,
-    write_matrix_csv,
+    write_jsonl,
 )
 
 _MEASURES = {"plr": MeasureKind.PLR, "knn": MeasureKind.KNN_MI}
@@ -201,10 +202,7 @@ def _resolve(args):
     options = {option.name: option for option in OPTIONS[args.command]}
     values = {name: option.default for name, option in options.items()}
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as handle:
-            loaded = json.load(handle)
-        if not isinstance(loaded, dict):
-            raise ValueError("--config must hold a JSON object")
+        loaded = read_json(args.config, dict)
         unknown = sorted(set(loaded) - set(options))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
@@ -248,39 +246,10 @@ def _measure_config(values):
     return MeasureConfig(_MEASURES[values["measure"]], KRule(values["k_rule"]))
 
 
-def _load_dataset(path):
-    matrix, names = read_matrix_csv(path)
-    return Dataset(matrix, tuple(names))
-
-
-def _write_jsonl(path, records):
-    _write_atomic(path, "".join(json.dumps(json_ready(r)) + "\n" for r in records))
-
-
-def _jsonl_records(path, keys):
-    """The JSON objects on the non-blank lines of ``path``, each of which
-    must hold every one of ``keys``."""
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if not all(key in record for key in keys):
-                raise ValueError(f"{path}:{lineno}: needs {' and '.join(keys)}")
-            records.append(record)
-    return records
-
-
 def _load_model(path, k):
     """The model stored at ``path``, fitted to the file's rows and labels,
     with neighbour count ``k`` or, if that is None, the stored one."""
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    for key in ("target", "k", "features", "labels"):
-        if key not in payload:
-            raise ValueError(f"{path}: model file missing {key!r}")
+    payload = read_json(path, dict, ("target", "k", "features", "labels"))
     return fit_knn(
         payload["features"], payload["labels"], payload["target"],
         whole_number(payload["k"]) if k is None else k,
@@ -289,9 +258,8 @@ def _load_model(path, k):
 
 def _load_queries(path):
     if path.endswith(".jsonl"):
-        return [record["features"] for record in _jsonl_records(path, ("features",))]
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+        return [record["features"] for record in read_jsonl(path, ("features",))]
+    payload = read_json(path, object)
     if isinstance(payload, dict):
         if "moments" in payload:
             return [payload["moments"]]
@@ -322,7 +290,7 @@ def cmd_gen(values):
     os.makedirs(out, exist_ok=True)
     data_path = os.path.join(out, "data.csv")
     truth_path = os.path.join(out, "truth.json")
-    write_matrix_csv(data_path, data.values, data.names)
+    write_csv(data_path, data.names, data.values)
     write_json_atomic(truth_path, {
         "B": truth.b,
         "Lambda": truth.lam,
@@ -334,16 +302,12 @@ def cmd_gen(values):
 
 def cmd_discover(values):
     """estimate a causal ordering from a CSV"""
-    data = _load_dataset(values["data"])
+    data = Dataset(*read_matrix_csv(values["data"]))
     search, kind = _SEARCHERS[values["method"]]
     config = MeasureConfig(kind, KRule(values["k_rule"]))
     prior = None
     if values["prior"] is not None:
-        with open(values["prior"], encoding="utf-8") as handle:
-            sequences = json.load(handle)
-        if not isinstance(sequences, list):
-            raise ValueError("prior file must hold a list of index sequences")
-        prior = expand_prior(sequences, data.n_features) or None
+        prior = expand_prior(read_json(values["prior"], list), data.n_features) or None
     result = search(data, config, prior)
     payload = {
         "order": list(result.order.order),
@@ -360,7 +324,7 @@ def cmd_discover(values):
 
 def cmd_pathdist(values):
     """enumerate or sample causal-path total costs"""
-    data = _load_dataset(values["data"])
+    data = Dataset(*read_matrix_csv(values["data"]))
     config = _measure_config(values)
     if _MODES[values["mode"]] is PathMode.EXHAUSTIVE:
         dist = enumerate_paths(data, config, max_features=values["max_features"])
@@ -372,10 +336,7 @@ def cmd_pathdist(values):
 
 def cmd_features(values):
     """reduce a path distribution to moment features"""
-    with open(values["dist"], encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict) or "lengths" not in payload or "mode" not in payload:
-        raise ValueError("distribution file needs mode and lengths keys")
+    payload = read_json(values["dist"], dict, ("mode", "lengths"))
     dist = PathDistribution(payload["lengths"], PathMode(payload["mode"]))
     feats = moment_features(dist, values["log_epsilon"])
     write_json_atomic(
@@ -413,7 +374,7 @@ def cmd_train(values):
         [row["features"] for row in rows], [row["label"] for row in rows],
         values["target"], values["k"],
     )
-    _write_jsonl(outputs[0], rows)
+    write_jsonl(outputs[0], rows)
     if model is not None:
         write_json_atomic(values["model"], {
             "target": model.target.value,
@@ -444,7 +405,7 @@ def cmd_eval(values):
     model = _load_model(values["model"], values["k"])
     if model.target not in BINARY_TARGETS:
         raise ValueError(f"target {model.target.value} is not binary; no ROC")
-    test = _jsonl_records(values["test"], ("features", "label"))
+    test = read_jsonl(values["test"], ("features", "label"))
     if not test:
         raise ValueError("test file holds no rows")
     scores = knn_classify(model, [row["features"] for row in test])
@@ -461,23 +422,6 @@ def _cell_record(cell):
     }
     record["valid"] = cell.valid
     return record
-
-
-def _write_cells_csv(path, records):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(records[0]) + "\n")
-        for record in records:
-            fields = []
-            for value in record.values():
-                if value is None:
-                    fields.append("nan")
-                elif isinstance(value, bool):
-                    fields.append("true" if value else "false")
-                elif isinstance(value, float):
-                    fields.append(repr(value))
-                else:
-                    fields.append(str(value))
-            handle.write(",".join(fields) + "\n")
 
 
 def _cells_table(cells):
@@ -515,7 +459,7 @@ def cmd_bench(values):
     cells_csv = os.path.join(out, "cells.csv")
     records = [_cell_record(cell) for cell in cells]
     write_json_atomic(cells_json, records)
-    _write_cells_csv(cells_csv, records)
+    write_csv(cells_csv, records[0], [record.values() for record in records])
     print(_cells_table(cells))
     return [cells_json, cells_csv]
 

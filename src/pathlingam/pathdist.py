@@ -29,7 +29,7 @@ class PathMode(Enum):
 @dataclass(frozen=True)
 class PathDistribution:
     """Total path costs, one per enumerated or sampled permutation, as a
-    read-only 1-D float array."""
+    read-only 1-D array of finite nonnegative floats."""
 
     lengths: np.ndarray
     mode: PathMode
@@ -37,8 +37,8 @@ class PathDistribution:
     def __post_init__(self):
         lengths = _freeze(self.lengths)
         # A null read from JSON becomes NaN, which fails the comparison too.
-        if not (lengths.ndim == 1 and np.all(lengths >= 0)):
-            raise ValueError("path lengths must be a list of nonnegative numbers")
+        if not (lengths.ndim == 1 and np.all((lengths >= 0) & (lengths < np.inf))):
+            raise ValueError("path lengths must be a list of finite numbers >= 0")
         object.__setattr__(self, "lengths", lengths)
 
 
@@ -139,7 +139,8 @@ def sample_paths(data, config, n, seed):
 
 
 def moment_features(dist, log_epsilon=LOG_EPSILON):
-    """Standardized moments of X = log(length + epsilon), orders 3 to 30.
+    """Standardized moments of X = log(length + epsilon), orders 3 to 30;
+    epsilon must keep X finite (finite, >= 0, and > 0 if a length is 0).
 
     Two-pass computation: center, standardize, then take powers of the
     standardized values, which stays stable up to order 30.
@@ -147,6 +148,8 @@ def moment_features(dist, log_epsilon=LOG_EPSILON):
     lengths = dist.lengths
     if lengths.size < 2:
         raise DegenerateDistribution("need at least 2 path lengths")
+    if not (0.0 <= log_epsilon < np.inf and lengths.min() + log_epsilon > 0.0):
+        raise ValueError("log_epsilon must be finite, >= 0, and > 0 if a length is 0")
     x = np.log(lengths + log_epsilon)
     centered = x - x.mean()
     variance = np.mean(centered * centered)

@@ -1,12 +1,13 @@
-"""Shared utilities: stable seeding, whole numbers read from input, atomic
-writes, full-precision CSV, task maps."""
+"""Shared utilities: stable seeding, whole numbers read from input, task
+maps, and the file formats: every CLI input is parsed, and every output
+written atomically, here."""
 
 import csv
 import hashlib
+import itertools
 import json
 import operator
 import os
-import tempfile
 
 import numpy as np
 
@@ -62,29 +63,6 @@ def json_ready(obj):
     return obj
 
 
-def write_json_atomic(path, obj):
-    """Write JSON via a temp file and rename, so readers never see a torn file.
-
-    Python's json emits floats with repr, the shortest representation that
-    parses back to the identical double.
-    """
-    _write_atomic(path, json.dumps(json_ready(obj), indent=2) + "\n")
-
-
-def _write_atomic(path, text):
-    """Write ``text`` to a temp file beside ``path``, then rename it there."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def map_tasks(fn, tasks, jobs):
     """``[fn(task) for task in tasks]``, over up to ``jobs`` worker processes.
 
@@ -104,38 +82,108 @@ def map_tasks(fn, tasks, jobs):
         return list(pool.map(fn, tasks))
 
 
-def write_matrix_csv(path, values, names):
-    """Write a numeric matrix as comma-separated text with a header row.
+def read_json(path, kind, keys=()):
+    """The JSON value in ``path``: a ``kind`` (dict, list, or object for
+    any) that, as a dict, holds every one of ``keys``. A file that is not
+    JSON, or of another shape, raises ValueError naming the path."""
+    with open(path, encoding="utf-8") as handle:
+        return _decode(path, handle.read(), kind, keys)
 
-    Values are formatted with repr so a reader recovers the exact doubles.
+
+def read_jsonl(path, keys):
+    """The JSON objects on the non-blank lines of ``path``, each of which
+    must hold every one of ``keys``; an error names the path and line."""
+    with open(path, encoding="utf-8") as handle:
+        return [
+            _decode(f"{path}:{lineno}", line, dict, keys)
+            for lineno, line in enumerate(handle, start=1) if line.strip()
+        ]
+
+
+def _decode(where, text, kind, keys):
+    try:
+        value = json.loads(text)
+    except ValueError as error:
+        raise ValueError(f"{where}: {error}") from None
+    if not isinstance(value, kind):
+        shape = "object" if kind is dict else "list"
+        raise ValueError(f"{where}: needs a JSON {shape}")
+    if not all(key in value for key in keys):
+        raise ValueError(f"{where}: needs {' and '.join(keys)}")
+    return value
+
+
+def write_atomic(path, pieces):
+    """Write the text ``pieces`` (any iterable, so a large output need not
+    be held whole) to a new file beside ``path``, then rename it there, so
+    readers never see a torn file. The file gets the mode ``open`` would
+    give it: 0o666 less the umask."""
+    tmp = f"{os.path.abspath(path)}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_json_atomic(path, obj):
+    """Write ``obj`` as indented JSON through ``write_atomic``.
+
+    Python's json emits floats with repr, the shortest representation that
+    parses back to the identical double.
     """
-    values = np.asarray(values, dtype=float)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(names) + "\n")
-        for row in values:
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_atomic(path, (json.dumps(json_ready(obj), indent=2), "\n"))
+
+
+def write_jsonl(path, records):
+    """Write each record as one line of compact JSON through ``write_atomic``."""
+    write_atomic(path, (json.dumps(json_ready(r)) + "\n" for r in records))
+
+
+def write_csv(path, names, rows):
+    """Write a header of ``names``, then one comma-separated line per row,
+    through ``write_atomic``. A float is written by repr, so a reader
+    recovers the exact double; a boolean as true or false, as JSON writes
+    it; None as nan; anything else by str."""
+    write_atomic(path, itertools.chain(
+        [",".join(names) + "\n"],
+        (",".join(map(_csv_field, row)) + "\n" for row in rows),
+    ))
+
+
+def _csv_field(value):
+    if value is None:
+        return "nan"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):  # np.float64 too, whose repr names its type
+        return repr(float(value))
+    return str(value)
 
 
 def read_matrix_csv(path):
     """Read a header-plus-numeric-rows CSV; returns (values, names).
 
-    Rows are split on commas and converted by one numpy call. A file that
+    The data rows are converted by one ``np.loadtxt`` call. A file that
     does not convert that way (quoted fields, a wrong field count, a
     non-numeric value, no data rows) is parsed again cell by cell, which
     names the line at fault.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8", newline="") as handle:
         lines = handle.readlines()
     if not lines:
         raise ValueError(f"{path}: empty CSV")
     names = next(csv.reader(lines[:1]))
-    rows = [line.rstrip("\r\n").split(",") for line in lines[1:]]
-    rows = [fields for fields in rows if fields != [""]]
-    try:
-        values = np.array(rows, dtype=float)
-    except ValueError:
-        values = None
-    if values is None or values.shape != (len(rows), len(names)):
+    values = None
+    if any(line.strip() for line in lines[1:]):  # loadtxt warns on no rows
+        try:
+            values = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if values is None or values.shape[1] != len(names):
         values = _parse_rows(path, names, lines[1:])
     return values, [n.strip() for n in names]
 

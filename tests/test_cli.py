@@ -268,6 +268,23 @@ class TestPathdistAndFeatures:
         assert set(feats) == {"log_epsilon", "moments"}
         assert len(feats["moments"]) == 28
 
+    @pytest.mark.parametrize("epsilon", ["-1", "0", "nan", "inf"])
+    def test_log_epsilon_that_leaves_a_log_non_finite_exits_2(
+        self, tmp_path, capsys, epsilon
+    ):
+        # Exhaustive distributions can hold lengths of exactly 0.
+        dist_path = tmp_path / "dist.json"
+        dist_path.write_text(
+            json.dumps({"mode": "exhaustive", "lengths": [0.0, 1.0, 2.0]})
+        )
+        out = tmp_path / "features.json"
+        assert main(
+            ["features", "--dist", str(dist_path), f"--log-epsilon={epsilon}",
+             "--out", str(out)]
+        ) == 2
+        assert "log_epsilon" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainPredictEval:
     def _train(self, tmp_path, target="confounder", trials=8, model=True):
@@ -642,6 +659,7 @@ class TestMalformedInputFiles:
                      "labels": [0.7, 0.9, 0.2]}),
         ("predict", {"target": "sparsity_gt_half", "k": 1,
                      "features": [[0.0] * 28] * 2, "labels": [0.0, 2.0]}),
+        ("features", {"mode": "exhaustive", "lengths": [float("inf"), 1.0, 2.0]}),
     ])
     def test_exit_2(self, tmp_path, capsys, command, payload):
         path = tmp_path / "input.json"
@@ -662,6 +680,42 @@ class TestMalformedInputFiles:
         assert "error:" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+
+    @pytest.mark.parametrize("flag, name", [
+        ("config", "c.json"), ("prior", "p.json"), ("dist", "d.json"),
+        ("model", "m.json"), ("features", "f.json"), ("features", "f.jsonl"),
+        ("test", "t.jsonl"),
+    ])
+    def test_non_json_input_names_the_file_and_line(
+        self, tmp_path, capsys, flag, name
+    ):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "target": "confounder", "k": 1, "features": [[0.0] * 28, [1.0] * 28],
+            "labels": [1.0, 0.0],
+        }))
+        bad = tmp_path / name
+        if name.endswith(".jsonl"):
+            row = json.dumps({"features": [0.5] * 28, "label": 1})
+            bad.write_text(f"{row}\nnot json\n")
+            where = f"{bad}:2"
+        else:
+            bad.write_text("not json\n")
+            where = str(bad)
+        argv = {
+            "config": ["features", "--config", bad],
+            "prior": ["discover", "--prior", bad],
+            "dist": ["features", "--dist", bad],
+            "model": ["predict", "--model", bad, "--features", bad],
+            "features": ["predict", "--model", model, "--features", bad],
+            "test": ["eval", "--model", model, "--test", bad],
+        }[flag]
+        if flag == "prior":
+            argv += ["--data", _gen(tmp_path) / "data.csv"]
+        out = tmp_path / "out.json"
+        assert main([str(arg) for arg in argv] + ["--out", str(out)]) == 2
+        assert where in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_query_of_another_width_exits_2(self, tmp_path, capsys, command):
@@ -802,6 +856,36 @@ class TestManifest:
             payload.pop("runtime_ms")
             results.append(payload)
         assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_outputs_take_the_mode_open_gives(tmp_path, capsys, umask):
+    data = _gen(tmp_path) / "data.csv"  # before the umask changes
+    previous = os.umask(umask)
+    try:
+        runs = {
+            "gen": ["gen", "--p", "3", "--n", "100", "--out", tmp_path / "gen"],
+            "discover": ["discover", "--data", data,
+                         "--out", tmp_path / "discover" / "order.json"],
+            "train": ["train", "--target", "confounder", "--p", "3",
+                      "--trials-per-p", "3", "--n-samples", "100",
+                      "--out", tmp_path / "train" / "rows.jsonl",
+                      "--model", tmp_path / "train" / "model.json"],
+            "bench": ["bench", "--p", "3", "--n", "60", "--trials", "1",
+                      "--methods", "spp-plr", "--out", tmp_path / "bench"],
+        }
+        for command, argv in runs.items():
+            (tmp_path / command).mkdir(exist_ok=True)
+            assert main([str(arg) for arg in argv]) == 0
+    finally:
+        os.umask(previous)
+    capsys.readouterr()
+    modes = {
+        f"{command}/{path.name}": path.stat().st_mode & 0o777
+        for command in runs for path in (tmp_path / command).iterdir()
+    }
+    assert len(modes) == 11  # every output and each command's manifest.json
+    assert set(modes.values()) == {0o666 & ~umask}, modes
 
 
 def test_cli_import_does_not_load_scipy_stats(tmp_path):

@@ -3,16 +3,21 @@
 import glob
 import json
 import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from pathlingam.util import (
     read_matrix_csv,
     stable_seed,
     whole_number,
+    write_csv,
     write_json_atomic,
-    write_matrix_csv,
 )
 
 
@@ -143,14 +148,14 @@ class TestMatrixCsv:
         values[0, 0] = 1.0 / 3.0
         values[1, 1] = 1e-300
         values[2, 2] = -1.2345678901234567e17
-        write_matrix_csv(path, values, ["a", "b", "c"])
+        write_csv(path, ["a", "b", "c"], values)
         loaded, names = read_matrix_csv(path)
         assert names == ["a", "b", "c"]
         assert np.array_equal(loaded, values)
 
     def test_header_line(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_matrix_csv(path, np.zeros((2, 2)), ["u", "v"])
+        write_csv(path, ["u", "v"], np.zeros((2, 2)))
         assert path.read_text().splitlines()[0] == "u,v"
 
     def test_field_count_mismatch_reports_line(self, tmp_path):
@@ -174,5 +179,46 @@ class TestMatrixCsv:
     def test_header_only(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("a,b\n")
-        with pytest.raises(ValueError, match="no data rows"):
-            read_matrix_csv(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "input contained no data"
+            with pytest.raises(ValueError, match="no data rows"):
+                read_matrix_csv(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=arrays(
+        np.float64, array_shapes(min_dims=2, max_dims=2, max_side=6),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ))
+    def test_round_trip_is_bit_exact_on_any_finite_double(self, values):
+        names = [f"x{i}" for i in range(values.shape[1])]
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "m.csv")
+            write_csv(path, names, values)
+            loaded, read_names = read_matrix_csv(path)
+        assert read_names == names
+        assert loaded.shape == values.shape and loaded.dtype == np.float64
+        # Bit patterns, so that -0.0 and 0.0 differ.
+        assert np.array_equal(loaded.view(np.uint64), values.view(np.uint64))
+
+    @pytest.mark.parametrize("name, names, rows, text", [
+        ("data.csv", ["a", "b"], np.array([[0.1, -0.0], [1e-310, 3.0]]),
+         "a,b\n0.1,-0.0\n1e-310,3.0\n"),
+        ("cells.csv", ["method", "p", "valid", "mean_eo"],
+         [["spp-plr", 3, True, 0.25], ["direct-plr", 4, False, None]],
+         "method,p,valid,mean_eo\nspp-plr,3,true,0.25\ndirect-plr,4,false,nan\n"),
+    ])
+    def test_rows_that_raise_leave_the_previous_file(
+        self, tmp_path, name, names, rows, text,
+    ):
+        path = tmp_path / name
+        write_csv(path, names, rows)
+        assert path.read_text() == text
+
+        def failing_rows():
+            yield rows[0]
+            raise RuntimeError("row failed")
+
+        with pytest.raises(RuntimeError):
+            write_csv(path, names, failing_rows())
+        assert path.read_text() == text
+        assert os.listdir(tmp_path) == [name]
