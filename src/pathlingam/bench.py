@@ -16,8 +16,8 @@ import numpy as np
 from .measures import MeasureConfig, MeasureKind
 from .metrics import ordering_error
 from .model import expand_prior
-from .search import direct_lingam_order, shortest_path_order
-from .simgen import generate, sample_benchmark_params
+from .search import check_data_size, direct_lingam_order, shortest_path_order
+from .simgen import generate_trial
 from .util import map_tasks, stable_seed
 
 log = logging.getLogger(__name__)
@@ -34,7 +34,8 @@ SEARCHERS = {
 @dataclass(frozen=True)
 class BenchConfig:
     """The experimental grid; ``with_confounders`` is both/true/false, and
-    ``methods`` are names in ``SEARCHERS``."""
+    ``methods`` are names in ``SEARCHERS``. Every (p, n) of the grid must
+    pass ``check_data_size``, or no trial of its cells could run."""
 
     p_values: tuple
     n_values: tuple
@@ -62,6 +63,8 @@ class BenchConfig:
             raise ValueError("with_confounders must be both, true or false")
         if any(not 0.0 <= f <= 1.0 for f in self.prior_fracs):
             raise ValueError("prior fractions must lie in [0, 1]")
+        for p, n in itertools.product(self.p_values, self.n_values):
+            check_data_size(p, n)
 
     def confounded_values(self):
         if self.with_confounders == "both":
@@ -112,10 +115,10 @@ def trial_prior(truth, prior_frac, seed):
 
 
 def run_trial(method, p, n, confounded, prior_frac, seed):
-    """One benchmark trial; returns (ordering error, runtime, edge count)."""
+    """One benchmark trial, its data drawn by ``generate_trial`` with seed
+    parts ``(seed,)``; returns (ordering error, runtime, edge count)."""
     search, kind = SEARCHERS[method]
-    params = sample_benchmark_params(p, n, confounded, seed)
-    data, truth = generate(params)
+    _, data, truth = generate_trial(p, n, confounded, seed, (seed,))
     prior = trial_prior(truth, prior_frac, seed)
     result = search(data, MeasureConfig(kind), prior)
     e_o = ordering_error(result.order, truth.true_order)

@@ -38,7 +38,6 @@ from .pathdist import (
     LOG_EPSILON,
     PathDistribution,
     PathMode,
-    check_enumeration_cap,
     enumerate_paths,
     moment_features,
     sample_paths,
@@ -54,7 +53,6 @@ from .predict import (
 )
 from .simgen import GenParams, generate
 from .util import (
-    map_tasks,
     read_json,
     read_jsonl,
     read_matrix_csv,
@@ -347,26 +345,16 @@ def cmd_features(values):
 
 def cmd_train(values):
     """build a labeled moment-feature training set"""
-    p_values = _split(values["p"], int)
-    kwargs = {
-        "config": _measure_config(values),
-        "path_mode": _MODES[values["path_mode"]],
-        "n_samples": values["n_samples"],
-        "path_samples": values["path_samples"],
-        "max_features": (
+    rows = build_training_set(
+        values["target"], _split(values["p"], int), values["trials_per_p"],
+        values["seed"], config=_measure_config(values),
+        path_mode=_MODES[values["path_mode"]], n_samples=values["n_samples"],
+        path_samples=values["path_samples"], jobs=_jobs(values),
+        max_features=(
             ENUMERATION_CAP if values["max_features"] is None
             else values["max_features"]
         ),
-    }
-    check_enumeration_cap(p_values, kwargs["path_mode"], kwargs["max_features"])
-    # Trial seeds depend only on (seed, target, p, index), so one task per p
-    # reproduces the rows of a single call over the whole grid.
-    train_p = functools.partial(
-        build_training_set, values["target"], trials_per_p=values["trials_per_p"],
-        seed=values["seed"], **kwargs,
     )
-    chunks = map_tasks(train_p, [(p,) for p in p_values], _jobs(values))
-    rows = [row for chunk in chunks for row in chunk]
     if not rows:
         raise EmptyTrainingSet("no trial produced a usable row")
     outputs = [values["out"]]
@@ -392,7 +380,10 @@ def cmd_predict(values):
     """score feature vectors with a stored model"""
     model = _load_model(values["model"], values["k"])
     score = knn_classify if model.target in BINARY_TARGETS else knn_regress
-    scores = score(model, _load_queries(values["features"]))
+    queries = _load_queries(values["features"])
+    if not queries:
+        raise ValueError(f"{values['features']}: holds no query rows")
+    scores = score(model, queries)
     write_json_atomic(
         values["out"],
         {"target": model.target.value, "k": model.k, "scores": scores},

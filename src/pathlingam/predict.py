@@ -25,17 +25,11 @@ from .pathdist import (
     moment_features,
     sample_paths,
 )
-from .search import direct_lingam_order, shortest_path_order
-from .simgen import generate, sample_benchmark_params
-from .util import stable_seed
+from .search import check_data_size, direct_lingam_order, shortest_path_order
+from .simgen import generate_trial
+from .util import map_tasks, stable_seed
 
 log = logging.getLogger(__name__)
-
-# Parameter draws per training trial before GenerationFailed is raised. A
-# draw fails when its confounders cannot get full-rank loadings, which takes
-# several confounders and a confoundedness near 1 (nearly every loading
-# column all ones). At p = 2 the draw has one confounder, which never fails.
-GENERATION_ATTEMPTS = 100
 
 
 class PredictTarget(Enum):
@@ -213,26 +207,6 @@ def _label_for(target, params, data, truth, config):
     return e_o
 
 
-def _generate_trial(p, n_samples, with_confounders, first_seed, seed_parts):
-    """Parameters and data of one trial, redrawing parameters that fail.
-
-    The first draw uses ``first_seed``; after a GenerationFailed, draw
-    ``attempt`` uses ``stable_seed(*seed_parts, attempt)`` and keeps the
-    trial's confounder coin.
-    """
-    param_seed = first_seed
-    for attempt in range(1, GENERATION_ATTEMPTS + 1):
-        params = sample_benchmark_params(p, n_samples, with_confounders, param_seed)
-        try:
-            return (params,) + generate(params)
-        except GenerationFailed:
-            param_seed = stable_seed(*seed_parts, attempt)
-    raise GenerationFailed(
-        f"no parameter draw of trial {seed_parts} generated data "
-        f"in {GENERATION_ATTEMPTS} attempts"
-    )
-
-
 def build_training_set(
     target,
     p_values,
@@ -243,6 +217,7 @@ def build_training_set(
     n_samples=1000,
     path_samples=1000,
     max_features=ENUMERATION_CAP,
+    jobs=1,
 ):
     """Generate labeled moment-feature rows across a grid of feature counts.
 
@@ -250,47 +225,56 @@ def build_training_set(
     trials on average), generates a dataset, computes the moment features of
     its path distribution (exhaustive or sampled), and attaches the target
     label. A trial whose parameters cannot generate data redraws them (see
-    ``_generate_trial``), so every trial gets its data or the call raises
-    GenerationFailed; trials that then fail numerically are skipped and
-    logged. Each row is the record that ``train`` writes as one JSONL line:
-    "features" (the moments array), "label", and "meta" with keys "p",
-    "seed" and "target". Exhaustive mode
-    checks every p against ``max_features`` before the first trial and
-    raises TooManyFeatures if one exceeds it.
+    ``simgen.generate_trial``), so every trial gets its data or the call
+    raises GenerationFailed; trials that then fail numerically are skipped
+    and logged. Each row is the record that ``train`` writes as one JSONL
+    line: "features" (the moments array), "label", and "meta" with keys
+    "p", "seed" and "target". Every p must pass ``check_data_size`` and, in
+    exhaustive mode, ``max_features``, checked before the first of the
+    trials, which run one task each over ``jobs`` processes in grid order.
     """
     config = config if config is not None else MeasureConfig()
     target = PredictTarget(target)
     check_enumeration_cap(p_values, path_mode, max_features)
-    rows = []
     for p in p_values:
-        for trial in range(int(trials_per_p)):
-            seed_parts = (int(seed), target.value, int(p), trial)
-            trial_seed = stable_seed(*seed_parts)
-            rng = np.random.default_rng(trial_seed)
-            with_confounders = bool(rng.integers(0, 2))
-            first_seed = int(rng.integers(0, 2**63))
-            try:
-                params, data, truth = _generate_trial(
-                    p, n_samples, with_confounders, first_seed, seed_parts
-                )
-                if path_mode is PathMode.EXHAUSTIVE:
-                    dist = enumerate_paths(data, config, max_features=max_features)
-                else:
-                    dist = sample_paths(
-                        data, config, path_samples, int(rng.integers(0, 2**63))
-                    )
-                features = moment_features(dist)
-                label = _label_for(target, params, data, truth, config)
-            except GenerationFailed:
-                raise  # every parameter draw failed: not a numerical failure
-            except Exception as error:  # noqa: BLE001 - per-trial isolation
-                log.warning(
-                    "skipping trial p=%s index=%s: %s", p, trial, error
-                )
-                continue
-            rows.append({
-                "features": features.moments,
-                "label": float(label),
-                "meta": {"p": int(p), "seed": trial_seed, "target": target.value},
-            })
-    return rows
+        check_data_size(int(p), n_samples)
+    tasks = [
+        (target, int(p), trial, int(seed), config, path_mode, n_samples,
+         path_samples, max_features)
+        for p in p_values
+        for trial in range(int(trials_per_p))
+    ]
+    return [row for row in map_tasks(_training_row, tasks, jobs) if row is not None]
+
+
+def _training_row(task):
+    """The row of one training trial, or None if it fails numerically."""
+    (target, p, trial, seed, config, path_mode, n_samples,
+     path_samples, max_features) = task
+    seed_parts = (seed, target.value, p, trial)
+    trial_seed = stable_seed(*seed_parts)
+    rng = np.random.default_rng(trial_seed)
+    with_confounders = bool(rng.integers(0, 2))
+    first_seed = int(rng.integers(0, 2**63))
+    try:
+        params, data, truth = generate_trial(
+            p, n_samples, with_confounders, first_seed, seed_parts
+        )
+        if path_mode is PathMode.EXHAUSTIVE:
+            dist = enumerate_paths(data, config, max_features=max_features)
+        else:
+            dist = sample_paths(
+                data, config, path_samples, int(rng.integers(0, 2**63))
+            )
+        features = moment_features(dist)
+        label = _label_for(target, params, data, truth, config)
+    except GenerationFailed:
+        raise  # every parameter draw failed: not a numerical failure
+    except Exception as error:  # noqa: BLE001 - per-trial isolation
+        log.warning("skipping trial p=%s index=%s: %s", p, trial, error)
+        return None
+    return {
+        "features": features.moments,
+        "label": float(label),
+        "meta": {"p": p, "seed": trial_seed, "target": target.value},
+    }

@@ -72,6 +72,15 @@ class _Layer:
         self.scale = np.empty((len(masks), width))
 
 
+def check_data_size(p, n_samples):
+    """Raise ValueError unless a lattice can be built on ``p`` features and
+    ``n_samples`` samples: p >= 2 and n_samples >= p + 2."""
+    if p < 2:
+        raise ValueError(f"need at least 2 features, got {p}")
+    if n_samples < p + 2:
+        raise ValueError(f"need at least p + 2 samples, got {n_samples} at p = {p}")
+
+
 class Lattice:
     """Shared residual and edge-weight cache over the 2^p subset lattice.
 
@@ -87,10 +96,7 @@ class Lattice:
         self.config = config if config is not None else MeasureConfig()
         prior = prior if prior is not None else ()
         self.p = data.n_features
-        if self.p < 2:
-            raise ValueError("need at least 2 features")
-        if data.n_samples < self.p + 2:
-            raise ValueError("need at least p + 2 samples")
+        check_data_size(self.p, data.n_samples)
         if len(prior) > self.p:
             raise ValueError("prior references a feature index outside the data")
         self.full = (1 << self.p) - 1

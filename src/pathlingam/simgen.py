@@ -19,6 +19,13 @@ import numpy as np
 
 from .errors import GenerationFailed
 from .model import Dataset, GroundTruth
+from .util import stable_seed
+
+# Parameter draws per trial before GenerationFailed is raised. A draw fails
+# when its confounders cannot get full-rank loadings, which takes several
+# confounders and a confoundedness near 1 (nearly every loading column all
+# ones). At p = 2 the draw has one confounder, which never fails.
+GENERATION_ATTEMPTS = 100
 
 
 @dataclass(frozen=True)
@@ -230,4 +237,24 @@ def sample_benchmark_params(p, n, with_confounders, seed):
         confounding_strength_exp=strength_exp,
         noise_family="standard12",
         seed=gen_seed,
+    )
+
+
+def generate_trial(p, n_samples, with_confounders, first_seed, seed_parts):
+    """(params, data, truth) of one trial, redrawing parameters that fail.
+
+    The first draw uses ``first_seed``; after a GenerationFailed, draw
+    ``attempt`` uses ``stable_seed(*seed_parts, attempt)`` and keeps the
+    trial's confounder coin.
+    """
+    param_seed = first_seed
+    for attempt in range(1, GENERATION_ATTEMPTS + 1):
+        params = sample_benchmark_params(p, n_samples, with_confounders, param_seed)
+        try:
+            return (params,) + generate(params)
+        except GenerationFailed:
+            param_seed = stable_seed(*seed_parts, attempt)
+    raise GenerationFailed(
+        f"no parameter draw of trial {seed_parts} generated data "
+        f"in {GENERATION_ATTEMPTS} attempts"
     )

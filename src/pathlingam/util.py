@@ -2,6 +2,7 @@
 maps, and the file formats: every CLI input is parsed, and every output
 written atomically, here."""
 
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -86,18 +87,29 @@ def read_json(path, kind, keys=()):
     """The JSON value in ``path``: a ``kind`` (dict, list, or object for
     any) that, as a dict, holds every one of ``keys``. A file that is not
     JSON, or of another shape, raises ValueError naming the path."""
-    with open(path, encoding="utf-8") as handle:
+    with _text_file(path) as handle:
         return _decode(path, handle.read(), kind, keys)
 
 
 def read_jsonl(path, keys):
     """The JSON objects on the non-blank lines of ``path``, each of which
     must hold every one of ``keys``; an error names the path and line."""
-    with open(path, encoding="utf-8") as handle:
+    with _text_file(path) as handle:
         return [
             _decode(f"{path}:{lineno}", line, dict, keys)
             for lineno, line in enumerate(handle, start=1) if line.strip()
         ]
+
+
+@contextlib.contextmanager
+def _text_file(path, newline=None):
+    """``path`` open as UTF-8 text; a byte that does not decode raises
+    ValueError naming the path."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            yield handle
+    except UnicodeDecodeError as error:
+        raise ValueError(f"{path}: {error}") from None
 
 
 def _decode(where, text, kind, keys):
@@ -172,7 +184,7 @@ def read_matrix_csv(path):
     non-numeric value, no data rows) is parsed again cell by cell, which
     names the line at fault.
     """
-    with open(path, encoding="utf-8", newline="") as handle:
+    with _text_file(path, newline="") as handle:
         lines = handle.readlines()
     if not lines:
         raise ValueError(f"{path}: empty CSV")

@@ -11,7 +11,12 @@ from pathlingam.bench import (
     trial_prior,
     trial_seed,
 )
-from pathlingam.simgen import GenParams, generate
+from pathlingam.errors import GenerationFailed
+from pathlingam.measures import MeasureConfig
+from pathlingam.metrics import ordering_error
+from pathlingam.search import shortest_path_order
+from pathlingam.simgen import GenParams, generate, sample_benchmark_params
+from pathlingam.util import stable_seed
 
 from reference import prior_pairs
 
@@ -156,6 +161,19 @@ class TestRunTrial:
             seed = trial_seed(9, 4, 200, "spp-plr", False, 1.0, index)
             e_o, _, _ = run_trial("spp-plr", 4, 200, False, 1.0, seed)
             assert e_o == 0.0
+
+    def test_failed_generation_redraws_the_parameters(self):
+        # The first parameter draw of this seed cannot generate data, so the
+        # trial runs on the redraw seeded by stable_seed(seed, 1).
+        seed = 7283288419625295858
+        with pytest.raises(GenerationFailed):
+            generate(sample_benchmark_params(4, 1000, True, seed))
+        redraw = sample_benchmark_params(4, 1000, True, stable_seed(seed, 1))
+        data, truth = generate(redraw)
+        result = shortest_path_order(data, MeasureConfig())
+        e_o, _, edges = run_trial("spp-plr", 4, 1000, True, 0.0, seed)
+        assert e_o == ordering_error(result.order, truth.true_order)
+        assert edges == result.edges_evaluated
 
 
 class TestRunBenchmark:

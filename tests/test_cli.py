@@ -394,17 +394,19 @@ class TestTrainPredictEval:
         assert list(tmp_path.iterdir()) == []
 
     def test_jobs_2_writes_the_rows_of_jobs_1(self, tmp_path):
-        rows = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}.jsonl"
-            assert main(
-                ["train", "--target", "confounder", "--p", "3,4",
-                 "--trials-per-p", "3", "--n-samples", "150", "--seed", "6",
-                 "--jobs", jobs, "--out", str(out)]
-            ) == 0
-            rows.append(out.read_bytes())
-        assert rows[0] == rows[1]
-        assert rows[0].count(b"\n") == 6
+        # One task per trial, so a single --p fans out over the pool too.
+        for p, count in (("3,4", 6), ("4", 3)):
+            rows = []
+            for jobs in ("1", "2"):
+                out = tmp_path / f"p{p}_jobs{jobs}.jsonl"
+                assert main(
+                    ["train", "--target", "confounder", "--p", p,
+                     "--trials-per-p", "3", "--n-samples", "150", "--seed", "6",
+                     "--jobs", jobs, "--out", str(out)]
+                ) == 0
+                rows.append(out.read_bytes())
+            assert rows[0] == rows[1]
+            assert rows[0].count(b"\n") == count
 
     def test_zero_jobs_exits_2(self, tmp_path, capsys):
         out = tmp_path / "rows.jsonl"
@@ -534,6 +536,22 @@ class TestBench:
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--p", "1", "--trials", "1"],
+    ["bench", "--p", "3", "--n", "3", "--trials", "1"],
+    ["bench", "--p", "3,5", "--n", "100,6", "--trials", "1"],
+    ["train", "--target", "confounder", "--p", "1,4", "--trials-per-p", "1"],
+    ["train", "--target", "confounder", "--p", "3", "--n-samples", "4",
+     "--trials-per-p", "1"],
+], ids=["bench-p1", "bench-n3", "bench-n6", "train-p1", "train-n4"])
+def test_grid_no_trial_can_run_exits_2(tmp_path, capsys, argv):
+    # Every trial needs p >= 2 and N >= p + 2; a grid that breaks the rule
+    # anywhere is rejected before its first trial.
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert "need at least" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestConfigMerge:
     def test_file_fills_and_flags_override(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -660,6 +678,9 @@ class TestMalformedInputFiles:
         ("predict", {"target": "sparsity_gt_half", "k": 1,
                      "features": [[0.0] * 28] * 2, "labels": [0.0, 2.0]}),
         ("features", {"mode": "exhaustive", "lengths": [float("inf"), 1.0, 2.0]}),
+        # Query files that hold no rows.
+        ("queries", {"features": []}),
+        ("queries.jsonl", []),
     ])
     def test_exit_2(self, tmp_path, capsys, command, payload):
         path = tmp_path / "input.json"
@@ -667,6 +688,17 @@ class TestMalformedInputFiles:
         out = str(tmp_path / "out.json")
         if command == "features":
             argv = ["features", "--dist", str(path), "--out", out]
+        elif command.startswith("queries"):
+            if command.endswith(".jsonl"):
+                path = tmp_path / "input.jsonl"
+                path.write_text("".join(json.dumps(row) + "\n" for row in payload))
+            model = tmp_path / "model.json"
+            model.write_text(json.dumps({
+                "target": "confounder", "k": 1,
+                "features": [[0.0] * 28, [1.0] * 28], "labels": [1.0, 0.0],
+            }))
+            argv = ["predict", "--model", str(model), "--features", str(path),
+                    "--out", out]
         elif command == "predict":
             feats = tmp_path / "f.json"
             feats.write_text(json.dumps({"moments": [0.0] * 28}))
@@ -685,6 +717,8 @@ class TestMalformedInputFiles:
         ("config", "c.json"), ("prior", "p.json"), ("dist", "d.json"),
         ("model", "m.json"), ("features", "f.json"), ("features", "f.jsonl"),
         ("test", "t.jsonl"),
+        # UTF-16 text, which starts with the bytes FF FE.
+        ("dist", "utf16.json"), ("data", "utf16.csv"),
     ])
     def test_non_json_input_names_the_file_and_line(
         self, tmp_path, capsys, flag, name
@@ -695,7 +729,10 @@ class TestMalformedInputFiles:
             "labels": [1.0, 0.0],
         }))
         bad = tmp_path / name
-        if name.endswith(".jsonl"):
+        if name.startswith("utf16"):
+            bad.write_text("x0,x1\n1,2\n", encoding="utf-16")
+            where = str(bad)
+        elif name.endswith(".jsonl"):
             row = json.dumps({"features": [0.5] * 28, "label": 1})
             bad.write_text(f"{row}\nnot json\n")
             where = f"{bad}:2"
@@ -709,6 +746,7 @@ class TestMalformedInputFiles:
             "model": ["predict", "--model", bad, "--features", bad],
             "features": ["predict", "--model", model, "--features", bad],
             "test": ["eval", "--model", model, "--test", bad],
+            "data": ["discover", "--data", bad],
         }[flag]
         if flag == "prior":
             argv += ["--data", _gen(tmp_path) / "data.csv"]

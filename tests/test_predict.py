@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pathlingam import predict
+from pathlingam import simgen
 from pathlingam.errors import EmptyTrainingSet, GenerationFailed, SingleClass
 from pathlingam.pathdist import enumerate_paths, moment_features
 from pathlingam.predict import (
@@ -317,10 +317,11 @@ class TestBuildTrainingSet:
             calls.append(params.seed)
             raise GenerationFailed("no loadings")
 
-        monkeypatch.setattr(predict, "generate", failing)
+        monkeypatch.setattr(simgen, "generate", failing)
+        monkeypatch.setattr(simgen, "GENERATION_ATTEMPTS", 5)
         with pytest.raises(GenerationFailed):
             build_training_set("confounder", [3], 2, 0)
-        assert len(set(calls)) == len(calls) == predict.GENERATION_ATTEMPTS
+        assert len(set(calls)) == len(calls) == 5
 
     def test_binary_target_registry(self):
         assert PredictTarget.CONFOUNDER in BINARY_TARGETS
