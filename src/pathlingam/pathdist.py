@@ -72,9 +72,9 @@ def enumerate_paths(data, config=None, max_features=ENUMERATION_CAP):
     """Total cost of every one of the p! orderings.
 
     Each of the lattice's 2^(p-1) * p edges is weighed once (PLR weights by
-    the layered fill of ``Lattice.fill_costs``). The totals are then extended
-    forward one lattice layer per numpy step, each partial path by every
-    candidate of its state in ascending order, so lengths come out in
+    the entropy-table fill of ``Lattice.fill_costs``). The totals are then
+    extended forward one lattice layer per numpy step, each partial path by
+    every candidate of its state in ascending order, so lengths come out in
     lexicographic permutation order, and each adds its steps in path order,
     as a walk of that permutation would.
     """
@@ -112,8 +112,8 @@ def sample_paths(data, config, n, seed):
     """Total costs of n orderings drawn uniformly with replacement.
 
     The n permutations are drawn one at a time, then the states they pass
-    through are weighed by the layered fill of ``Lattice.fill_costs`` and
-    each draw adds its steps in path order. Each length therefore equals
+    through are weighed by the entropy-table fill of ``Lattice.fill_costs``,
+    and each draw adds its steps in path order. Each length therefore equals
     the enumerated length of its permutation bit for bit, and a longer run
     with the same seed extends a shorter one exactly: the first min(n, n')
     draws coincide.

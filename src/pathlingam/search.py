@@ -10,9 +10,9 @@ Edge weights are evaluated lazily (only when a state is expanded) and
 memoized per lattice edge. The searches, which expand one state at a time,
 weigh a state's edges with the pairwise PLR kernel on that state's columns;
 path enumeration and path sampling memoize theirs ahead of time from a
-per-state entropy table filled one lattice layer at a time
-(``Lattice.fill_costs``), so every path length they report is a path-order
-sum of the same per-state costs.
+per-state entropy table filled by one depth-first walk of the canonical
+tree (``Lattice.fill_costs``), so every path length they report is a
+path-order sum of the same per-state costs.
 """
 
 import heapq
@@ -55,21 +55,9 @@ def _peeled(mask, full):
     return (full & ~mask).bit_length() - 1
 
 
-# Most parent-row elements one block of the layered fill works on: each of
-# its temporaries stays near 8 MB, whatever p and N.
+# Most child-row elements one transition of the fill makes: each level of
+# its depth-first walk holds about 8 MB of residual columns, whatever p and N.
 _FILL_BLOCK_ELEMENTS = 1 << 20
-
-
-class _Layer:
-    """One lattice layer of the layered fill. ``index`` maps each of its
-    states to its index in ``rows`` (states x width x N residual columns)
-    and in ``h`` and ``scale`` (entropies and scales, where filled)."""
-
-    def __init__(self, masks, width, n):
-        self.index = {mask: k for k, mask in enumerate(masks)}
-        self.rows = np.empty((len(masks), width, n))
-        self.h = np.empty((len(masks), width))
-        self.scale = np.empty((len(masks), width))
 
 
 def check_data_size(p, n_samples):
@@ -166,87 +154,83 @@ class Lattice:
         """Memoize the PLR step costs of many states (each of >= 2 features).
 
         The costs come from a table of per-state entropies, those of each
-        state's standardized canonical columns, filled one lattice layer
-        (popcount) at a time from the full state down. Within a layer, each
-        block of states takes one batched transition from the canonical
-        parents' columns and one kernel call; once the layer below has its
-        entropies, the asked states' costs take one batched evaluation. Only
-        the columns of the layer being built and of its parent layer are
-        held. The states filled are the asked ones, their children (for
-        entropies) and the canonical ancestors of both (for columns). Each
-        cost is a function of its state alone, bit for bit, whichever states
-        were filled with it; the pairwise kernel of the searches gives the
-        same costs up to rounding. kNN costs are left to ``costs_at``.
+        state's standardized canonical columns. The states filled are the
+        asked ones, their children (for entropies) and the canonical
+        ancestors of both (for columns). Each state's columns come from its
+        canonical parent, so these states form a tree rooted at the full
+        state, which is walked depth first: a batch of states of one width
+        puts its entropies into the table with one kernel call, then makes
+        its children in blocks, one batched transition per block, and walks
+        each block in turn. Only the blocks on one root-to-leaf path are
+        held. Once the table is full, the asked states' costs take one
+        batched evaluation per width. Each cost is a function of its state
+        alone, bit for bit, whichever states were filled with it; the
+        pairwise kernel of the searches gives the same costs up to
+        rounding. kNN costs are left to ``costs_at``.
         """
         if self.config.kind is not MeasureKind.PLR:
             return
         asked = {mask for mask in masks if mask not in self._costs}
         if not asked:
             return
-        entropies = asked | {
+        wanted = asked | {
             mask & ~(1 << f) for mask in asked for f in self._features(mask)
         }
-        filled = {self.full}
-        for mask in entropies:
+        # tree[mask]: the filled states whose canonical parent is mask.
+        filled, tree = {self.full}, {}
+        for mask in wanted:
             while mask not in filled:
                 filled.add(mask)
-                mask |= 1 << _peeled(mask, self.full)
-        by_width = [[] for _ in range(self.p + 1)]
-        for mask in sorted(filled):
-            by_width[mask.bit_count()].append(mask)
-        above = None
-        for width in range(self.p, 0, -1):
-            if not by_width[width]:
-                break
-            layer = self._fill_layer(by_width[width], above, entropies)
-            if above is not None:
-                self._fill_layer_costs(above, layer, asked)
-            above = layer
+                parent = mask | 1 << _peeled(mask, self.full)
+                tree.setdefault(parent, set()).add(mask)
+                mask = parent
+        # The entropy table: row index[mask] of h and scale holds the
+        # entropies and scales of mask's columns, in its first width entries.
+        index = {mask: k for k, mask in enumerate(wanted)}
+        h = np.empty((len(index), self.p))
+        scale = np.empty((len(index), self.p))
 
-    def _fill_layer(self, masks, above, entropies):
-        # Columns of ``masks`` (one layer) from the layer above, and the
-        # entropies of those among ``entropies``, in blocks of states.
-        root = self._columns[self.full]
-        width, n = masks[0].bit_count(), root.shape[0]
-        layer = _Layer(masks, width, n)
-        wanted = np.array([mask in entropies for mask in masks])
-        if above is None:
-            layer.rows[0] = root.T
-        else:
-            peeled = [_peeled(mask, self.full) for mask in masks]
-            parents = [above.index[mask | (1 << f)] for mask, f in zip(masks, peeled)]
-            positions = [_position(mask, f) for mask, f in zip(masks, peeled)]
-        block = max(1, _FILL_BLOCK_ELEMENTS // ((width + 1) * n))
-        for start in range(0, len(masks), block):
-            part = slice(start, start + block)
-            if above is not None:
-                layer.rows[part] = residualize_rows(
-                    above.rows, parents[part], positions[part]
+        def walk(states, rows):
+            # ``rows``: the states' columns, states x width x N.
+            width, n = rows.shape[1:]
+            keep = [k for k, mask in enumerate(states) if mask in index]
+            if keep:
+                at = [index[states[k]] for k in keep]
+                entropies, std = state_entropies(rows[keep].reshape(-1, n), width)
+                h[at, :width] = entropies.reshape(-1, width)
+                scale[at, :width] = std.reshape(-1, width)
+            children, parents = [], []
+            for k, mask in enumerate(states):
+                for child in sorted(tree.get(mask, ())):
+                    children.append(child)
+                    parents.append(k)
+            if not children:
+                return
+            positions = [_position(c, _peeled(c, self.full)) for c in children]
+            block = max(1, _FILL_BLOCK_ELEMENTS // ((width - 1) * n))
+            for start in range(0, len(children), block):
+                part = slice(start, start + block)
+                walk(
+                    children[part],
+                    residualize_rows(rows, parents[part], positions[part]),
                 )
-            keep = wanted[part]
-            if keep.any():
-                stack = layer.rows[part][keep].reshape(-1, n)
-                h, scale = state_entropies(stack, width)
-                layer.h[part][keep] = h.reshape(-1, width)
-                layer.scale[part][keep] = scale.reshape(-1, width)
-        return layer
 
-    def _fill_layer_costs(self, above, layer, asked):
-        # Costs of the asked states of ``above``, whose children are ``layer``.
-        masks = [mask for mask in above.index if mask in asked]
-        if not masks:
-            return
-        states = [above.index[mask] for mask in masks]
-        children = [
-            [layer.index[mask & ~(1 << f)] for f in self._features(mask)]
-            for mask in masks
-        ]
-        costs = layer_costs(
-            above.h[states], above.scale[states],
-            layer.h[children], layer.scale[children],
-        )
-        for mask, by_position in zip(masks, costs):
-            self._memoize(mask, by_position)
+        walk([self.full], np.ascontiguousarray(self._columns[self.full].T)[None])
+        by_width = {}
+        for mask in asked:
+            by_width.setdefault(mask.bit_count(), []).append(mask)
+        for width, states in by_width.items():
+            at = [index[mask] for mask in states]
+            children = [
+                [index[mask & ~(1 << f)] for f in self._features(mask)]
+                for mask in states
+            ]
+            costs = layer_costs(
+                h[at, :width], scale[at, :width],
+                h[children, :width - 1], scale[children, :width - 1],
+            )
+            for mask, by_position in zip(states, costs):
+                self._memoize(mask, by_position)
 
     def _features(self, mask):
         return [f for f in range(self.p) if mask >> f & 1]

@@ -7,8 +7,8 @@
   ``measures`` (behind ``plr_matrix`` and ``state_entropies``) except the
   approximation's constants, so agreement between the two checks the
   kernel's algebra and blocking.
-- ``residual``: one column regressed on another from population moments,
-  the per-column form of ``measures.residualize``.
+- ``residual``: one column regressed on another from two-pass population
+  moments, the per-column form of ``measures.residualize``.
 - ``ksg_mi``: the Kraskov-Stogbauer-Grassberger estimator from the full
   matrix of max-norm distances, with no tree and no sorting, against which
   ``measures.knn_mi`` must agree bit for bit.
@@ -85,11 +85,13 @@ def residual(xi, xj):
     xj = np.asarray(xj, dtype=float)
     if xi.shape != xj.shape or xi.ndim != 1 or xi.size < 2:
         raise ValueError("residual needs two equal-length vectors of size >= 2")
-    mj = xj.mean()
-    var = np.mean(xj * xj) - mj * mj
+    # Two-pass moments, products of centred columns: the one-pass form
+    # E[xy] - E[x]E[y] cancels when the regressor's variance is tiny.
+    cj = xj - xj.mean()
+    var = np.mean(cj * cj)
     if var == 0.0:
         raise ZeroVariance("regressor has zero variance")
-    cov = np.mean(xi * xj) - xi.mean() * mj
+    cov = np.mean((xi - xi.mean()) * cj)
     return xi - (cov / var) * xj
 
 

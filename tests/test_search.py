@@ -9,12 +9,15 @@ residual cache.
 """
 
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pathlingam import search
 from pathlingam.errors import CyclicPrior, ZeroVariance
 from pathlingam.measures import MeasureConfig, MeasureKind, plr_costs
 from pathlingam.model import Dataset, expand_prior
@@ -363,16 +366,21 @@ class TestResidualize:
 
     @settings(max_examples=50, deadline=None)
     @given(
-        m=st.integers(1, 16),
+        m_pos=st.integers(1, 16).flatmap(
+            lambda m: st.tuples(st.just(m), st.integers(0, m - 1))
+        ),
         n=st.integers(3, 400),
         seed=st.integers(0, 2**32 - 1),
-        data=st.data(),
     )
-    def test_matches_per_column_residual(self, m, n, seed, data):
+    # A chosen column of tiny variance, where a one-pass reference is off
+    # by up to 5e-10.
+    @example(m_pos=(12, 3), n=3, seed=10022)
+    @example(m_pos=(13, 0), n=3, seed=2399158)
+    def test_matches_per_column_residual(self, m_pos, n, seed):
+        m, pos = m_pos
         rng = np.random.default_rng(seed)
         mixing = np.eye(m) + rng.uniform(-0.8, 0.8, (m, m))
         columns = rng.standard_exponential((n, m)) @ mixing
-        pos = data.draw(st.integers(0, m - 1))
         kept = [i for i in range(m) if i != pos]
         expected = [residual(columns[:, i], columns[:, pos]) for i in kept]
         child = residualize(columns, pos)
@@ -442,7 +450,7 @@ def _states_with_edges(p):
     return [mask for mask in range(1, 1 << p) if mask.bit_count() >= 2]
 
 
-class TestLayeredFill:
+class TestFill:
     def test_costs_match_pairwise_lattice_on_every_state(self):
         for seed in (70, 71):
             data, _ = _dataset(seed, p=5, sparsity=0.5)
@@ -487,12 +495,18 @@ class TestLayeredFill:
         dataset, _ = _dataset(seed, p=p, n=200)
         states = _states_with_edges(p)
         subset = data.draw(st.lists(st.sampled_from(states), unique=True))
-        whole, part = Lattice(dataset), Lattice(dataset)
+        whole, part, single = Lattice(dataset), Lattice(dataset), Lattice(dataset)
         whole.fill_costs(states)
         part.fill_costs(subset)
         assert part.edges_evaluated == sum(mask.bit_count() for mask in subset)
         for mask in subset:
             assert part.costs_at(mask) == whole.costs_at(mask)
+        # One child per transition: every block boundary of the walk.
+        with mock.patch.object(search, "_FILL_BLOCK_ELEMENTS", 1):
+            single.fill_costs(states)
+            single_lengths = enumerate_paths(dataset).lengths
+        for mask in states:
+            assert single.costs_at(mask) == whole.costs_at(mask)
         totals = []
 
         def walk(mask, acc):
@@ -505,3 +519,18 @@ class TestLayeredFill:
 
         walk(whole.full, 0.0)
         assert np.array_equal(enumerate_paths(dataset).lengths, totals)
+        assert np.array_equal(single_lengths, totals)
+
+    def test_full_fill_memory_is_bounded_by_the_block(self):
+        """A fill holds one block of child rows per level of its walk, so
+        filling every state stays under p blocks of 8-byte elements."""
+        p = 13
+        data, _ = _dataset(74, p=p, n=1000, sparsity=0.3)
+        lattice = Lattice(data)
+        tracemalloc.start()
+        try:
+            lattice.fill_costs(_states_with_edges(p))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p * search._FILL_BLOCK_ELEMENTS * 8
