@@ -25,7 +25,14 @@ import sys
 from datetime import datetime, timezone
 from typing import NamedTuple
 
-import numpy as np
+# One BLAS thread per process, set before numpy loads OpenBLAS: no product
+# here is larger than N x p, and ``--jobs`` worker processes (which inherit
+# this environment) are the program's one kind of parallelism. The idle pool
+# thread cost about 0.1 s of CPU per start on a 2-core x86-64 host. A
+# caller's value is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from . import __version__
 from .adjacency import estimate_adjacency

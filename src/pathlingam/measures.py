@@ -118,9 +118,9 @@ _BLOCK_ELEMENTS = 1 << 15
 # Least share 1 - rho^2 of a candidate's variance that must be left after
 # regressing out another candidate. On exactly collinear columns rounding
 # leaves up to about 2.4e-14 of it in the pairwise correlation (N = 10^5)
-# and about 1e-28 in a residual column, so both feeders reject such pairs
-# with this one test, while a pair keeping over a millionth of its scale
-# passes.
+# and about 1e-28 in a residual column, so both PLR feeders and the kNN step
+# reject such pairs with this one test, while a pair keeping over a millionth
+# of its scale passes.
 _MIN_KEPT_VARIANCE = 1e-12
 
 
@@ -404,6 +404,9 @@ def knn_step_cost(columns, pos, config):
     Computes I(column ``pos``; the child state's columns, the others after
     regressing out column ``pos``), clamped below at 0 so Dijkstra sees
     nonnegative weights. The last remaining feature costs 0 by definition.
+    A column keeping a share 1 - rho^2 of its variance below
+    ``_MIN_KEPT_VARIANCE`` raises DegenerateCorrelation, as in
+    ``plr_matrix``: its residual is rounding noise.
     """
     if columns.shape[1] == 1:
         return 0.0
@@ -412,4 +415,8 @@ def knn_step_cost(columns, pos, config):
     # The trees take C-ordered points; a transposed view would be copied on
     # every build and query.
     x_block = np.ascontiguousarray(residualize(columns, pos))
+    # A column with no variance to keep keeps none of it.
+    var = np.delete(columns.var(axis=0), pos)
+    kept = np.divide(x_block.var(axis=0), var, out=np.zeros_like(var), where=var > 0.0)
+    _check_kept_variance(kept)
     return max(0.0, knn_mi(x_block, xc, k))

@@ -50,6 +50,13 @@ class GenParams:
             raise ValueError("sparsity must lie in [0, 1]")
         if not 0.0 <= self.confoundedness <= 1.0:
             raise ValueError("confoundedness must lie in [0, 1]")
+        try:
+            finite = math.isfinite(10.0 ** self.confounding_strength_exp)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("10 ** confounding_strength_exp must be finite, got "
+                             f"exponent {self.confounding_strength_exp!r}")
         if self.n_confounders < 0:
             raise ValueError("n_confounders must be nonnegative")
         if self.noise_family not in FAMILIES:

@@ -80,6 +80,18 @@ class TestGen:
         assert main(["gen", "--n", "50", "--out", str(tmp_path)]) == 2
         assert "p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("exponent", ["400", "1e6", "nan", "inf"])
+    def test_strength_exponent_without_a_finite_power_exits_2(
+        self, tmp_path, capsys, exponent
+    ):
+        # 10 ** 400 overflows, which escaped main as a traceback.
+        code = main(
+            ["gen", "--p", "3", "--n", "50", "--confounders", "1",
+             "--strength-exp", exponent, "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "confounding_strength_exp" in capsys.readouterr().err
+
     def test_impossible_confounding_maps_to_5(self, tmp_path):
         code = main(
             ["gen", "--p", "3", "--n", "50", "--confounders", "2",
@@ -232,6 +244,35 @@ class TestPathdistAndFeatures:
         ]
         assert codes == [5, 5]
         capsys.readouterr()
+
+    @pytest.mark.parametrize("copy", ["duplicate", "affine", "sum"])
+    def test_collinear_data_exits_5_under_the_knn_measure(
+        self, tmp_path, capsys, copy
+    ):
+        # The kNN measure scored the rounding noise of a residual left by an
+        # exact copy, where the likelihood ratio exits 5.
+        rng = np.random.default_rng(1)
+        x = rng.laplace(size=(60, 2))
+        x[:, 1] += 0.5 * x[:, 0]
+        third = {
+            "duplicate": x[:, 0],
+            "affine": 2.0 * x[:, 0] - 3.0,
+            "sum": x[:, 0] + x[:, 1],
+        }[copy]
+        values = np.column_stack([x, third])
+        data = tmp_path / "collinear.csv"
+        data.write_text(
+            "x0,x1,x2\n"
+            + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in values)
+        )
+        codes = [
+            main([*command, "--data", str(data), "--out", str(tmp_path / "o.json")])
+            for command in (["discover", "--method", "spp-knn"],
+                            ["pathdist", "--measure", "knn"],
+                            ["discover"], ["pathdist"])
+        ]
+        assert codes == [5, 5, 5, 5]
+        assert "|correlation| is 1" in capsys.readouterr().err
 
     def test_enumeration_cap_exits_4(self, tmp_path, capsys):
         out = _gen(tmp_path, p=4)
@@ -987,3 +1028,36 @@ def test_consecutive_commands_match_fresh_interpreters(tmp_path):
     assert outputs(in_process) == outputs(separate)
     found = outputs(in_process)
     assert found["spp.json"]["step_costs"] != found["knn.json"]["step_costs"]
+
+
+def _fresh_without_blas_setting(probe, **env):
+    # Run ``probe`` in a new interpreter whose environment holds no
+    # OPENBLAS_NUM_THREADS unless ``env`` gives one; returns its stdout.
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(base, PYTHONPATH=src, **env),
+        capture_output=True, text=True, check=True,
+    )
+    return done.stdout.strip()
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+    reason="thread count needs /proc/self/task and a spare core for a BLAS pool",
+)
+@pytest.mark.parametrize("setting, threads", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
+def test_cli_runs_one_blas_thread_unless_the_caller_sets_more(setting, threads):
+    # An OpenBLAS pool thread costs CPU at start-up and no product here is
+    # large enough to use it; a caller's setting is kept.
+    probe = "import os, pathlingam.cli; print(len(os.listdir('/proc/self/task')))"
+    assert _fresh_without_blas_setting(probe, **setting) == threads
+
+
+def test_map_tasks_workers_inherit_the_cli_blas_setting():
+    probe = (
+        "import os, pathlingam.cli\n"
+        "from pathlingam.util import map_tasks\n"
+        "print(map_tasks(os.getenv, ['OPENBLAS_NUM_THREADS'] * 2, 2))\n"
+    )
+    assert _fresh_without_blas_setting(probe) == "['1', '1']"

@@ -511,3 +511,20 @@ class TestKnnStepCost:
         config = MeasureConfig(MeasureKind.KNN_MI, KRule.SQRT_N)
         for pos in range(3):
             assert knn_step_cost(columns, pos, config) >= 0.0
+
+    @pytest.mark.parametrize("noise, collinear", [(1e-8, True), (1e-4, False)])
+    def test_takes_the_likelihood_ratio_collinearity_decision(self, noise, collinear):
+        # The columns of test_both_feeders_take_one_collinearity_decision.
+        # Choosing column 0 or 2 regresses it out of the other; choosing
+        # column 1 keeps both.
+        x = _mixed_columns(51, 300, 3)
+        columns = x.copy()
+        columns[:, 2] = 2.0 * x[:, 0] - 3.0 + noise * x[:, 2]
+        config = MeasureConfig(MeasureKind.KNN_MI)
+        for pos in (0, 2):
+            if collinear:
+                with pytest.raises(DegenerateCorrelation):
+                    knn_step_cost(columns, pos, config)
+            else:
+                assert knn_step_cost(columns, pos, config) >= 0.0
+        assert knn_step_cost(columns, 1, config) >= 0.0
