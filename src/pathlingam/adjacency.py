@@ -1,16 +1,20 @@
 """Edge estimation: given an ordering, decide which coefficients are zero.
 
 Each feature is regressed on its predecessors in the ordering with an
-adaptive lasso: ordinary least squares supplies per-coefficient weights
-1/|beta_ols| (gamma = 1), the weighted L1 problem is solved by cyclic
-coordinate descent, the penalty level is picked by BIC over a 50-point
-logarithmic grid, and surviving coefficients below 1e-6 in magnitude are
-snapped to exact zeros.
+adaptive lasso. Least squares, whose rank also tests for collinearity, gives
+weights 1/|beta_ols| (gamma = 1). Coordinate descent for each penalty and BIC
+over a 50-point log grid of penalties read only X'X/N and X'y/N (Friedman,
+Hastie & Tibshirani, JSS 2010); a solve stopped by the sweep cap is logged.
+Coefficients below 1e-6 in magnitude are snapped to exact zeros.
 """
+
+import logging
 
 import numpy as np
 
 from .errors import SingularDesign
+
+log = logging.getLogger(__name__)
 
 ZERO_THRESHOLD = 1e-6
 CD_TOLERANCE = 1e-8
@@ -19,57 +23,52 @@ GRID_POINTS = 50
 GRID_SPAN = 1e-4
 
 
-def lasso_coordinate_descent(design, target, lam, start=None):
-    """Minimize (1/2N)||y - Xw||^2 + lam * ||w||_1 by cyclic updates.
-
-    Zero-norm design columns keep a zero coefficient. With lam = 0 this
-    converges to the least-squares solution, which the tests use as an
-    oracle. Returns the coefficient vector.
+def lasso_coordinate_descent(gram, corr, lam, start=None):
+    """Minimize (1/2)w'Gw - c'w + lam * ||w||_1, which is the lasso
+    (1/2N)||y - Xw||^2 + lam * ||w||_1 for G = X'X/N and c = X'y/N, by cyclic
+    updates. Coordinates with G_jj = 0 keep a zero coefficient. With lam = 0
+    this converges to least squares, and lam >= max|c| returns exact zeros.
     """
-    n, m = design.shape
-    col_norms = np.mean(design * design, axis=0)
-    w = np.zeros(m) if start is None else start.copy()
-    resid = target - design @ w
+    diag = np.diag(gram)
+    w = np.zeros(len(corr)) if start is None else start.copy()
     for _ in range(CD_MAX_SWEEPS):
         largest_step = 0.0
-        for j in range(m):
-            if col_norms[j] == 0.0:
+        for j in range(len(w)):
+            if diag[j] == 0.0:
                 continue
             old = w[j]
-            rho = np.mean(design[:, j] * resid) + col_norms[j] * old
-            new = np.sign(rho) * max(abs(rho) - lam, 0.0) / col_norms[j]
+            rho = corr[j] - gram[j] @ w + diag[j] * old
+            new = np.sign(rho) * max(abs(rho) - lam, 0.0) / diag[j]
             if new != old:
-                resid += design[:, j] * (old - new)
                 w[j] = new
                 largest_step = max(largest_step, abs(new - old))
         if largest_step < CD_TOLERANCE:
             break
+    else:
+        log.warning("coordinate descent stopped at %d sweeps for lam=%g; "
+                    "last largest step %g", CD_MAX_SWEEPS, lam, largest_step)
     return w
 
 
-def _adaptive_lasso(design, target):
+def _adaptive_lasso(design, target, beta_ols):
     n, m = design.shape
-    beta_ols, *_ = np.linalg.lstsq(design, target, rcond=None)
     weights = np.abs(beta_ols)
     scaled = design * weights  # infinite penalty on zero-weight columns
-    lam_max = np.max(np.abs(scaled.T @ target)) / n
+    gram = scaled.T @ scaled / n
+    corr = scaled.T @ target / n
+    mean_square = float(target @ target) / n
+    lam_max = np.max(np.abs(corr))
     if lam_max == 0.0:
         return np.zeros(m)
-    grid = np.geomspace(lam_max, lam_max * GRID_SPAN, GRID_POINTS)
-    # The empty model competes too; rounding in the descent loop can leave
-    # a vanishing coefficient at lam_max, so it cannot stand in for it.
-    null_rss = float(np.sum(target * target))
-    best_bic = n * np.log(max(null_rss, 1e-300) / n)
-    best_u = np.zeros(m)
+    # The first grid point, lam_max, returns exact zeros: the empty model.
+    best_bic = np.inf
     u = np.zeros(m)
-    for lam in grid:
-        u = lasso_coordinate_descent(scaled, target, lam, start=u)
-        rss = float(np.sum((target - scaled @ u) ** 2))
-        df = int(np.count_nonzero(u))
-        bic = n * np.log(max(rss, 1e-300) / n) + df * np.log(n)
+    for lam in np.geomspace(lam_max, lam_max * GRID_SPAN, GRID_POINTS):
+        u = lasso_coordinate_descent(gram, corr, lam, start=u)
+        mse = mean_square - 2.0 * (u @ corr) + u @ gram @ u
+        bic = n * np.log(max(mse, 1e-300)) + np.count_nonzero(u) * np.log(n)
         if bic < best_bic:
-            best_bic = bic
-            best_u = u.copy()
+            best_bic, best_u = bic, u.copy()
     beta = best_u * weights
     beta[np.abs(beta) < ZERO_THRESHOLD] = 0.0
     return beta
@@ -95,11 +94,11 @@ def estimate_adjacency(data, order):
     for k in range(1, p):
         effect = sequence[k]
         causes = list(sequence[:k])
-        design = centered[:, causes]
-        if np.linalg.matrix_rank(design) < len(causes):
+        design, target = centered[:, causes], centered[:, effect]
+        beta_ols, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+        if rank < len(causes):
             raise SingularDesign(
                 f"predecessor columns of feature {effect} are collinear"
             )
-        beta = _adaptive_lasso(design, centered[:, effect])
-        b_hat[effect, causes] = beta
+        b_hat[effect, causes] = _adaptive_lasso(design, target, beta_ols)
     return b_hat

@@ -47,21 +47,11 @@ def whole_number(value):
     return int(value) if isinstance(value, (str, float)) else operator.index(value)
 
 
-def json_ready(obj):
-    """Convert numpy containers/scalars to plain Python for json.dump."""
-    if isinstance(obj, np.ndarray):  # numeric: tolist gives plain values
+def _plain(obj):
+    """``json.dumps``' ``default``: numpy arrays and scalars as plain values."""
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, (np.bool_, bool)):  # before int: bool subclasses int
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (list, tuple)):
-        return [json_ready(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): json_ready(v) for k, v in obj.items()}
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def map_tasks(fn, tasks, jobs):
@@ -147,12 +137,12 @@ def write_json_atomic(path, obj):
     Python's json emits floats with repr, the shortest representation that
     parses back to the identical double.
     """
-    write_atomic(path, (json.dumps(json_ready(obj), indent=2), "\n"))
+    write_atomic(path, (json.dumps(obj, indent=2, default=_plain), "\n"))
 
 
 def write_jsonl(path, records):
     """Write each record as one line of compact JSON through ``write_atomic``."""
-    write_atomic(path, (json.dumps(json_ready(r)) + "\n" for r in records))
+    write_atomic(path, (json.dumps(r, default=_plain) + "\n" for r in records))
 
 
 def write_csv(path, names, rows):

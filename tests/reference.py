@@ -16,6 +16,10 @@
 - ``table_ratios`` and ``table_costs``: ``measures.layer_ratios`` and
   ``measures.layer_costs`` called on one state, whose table entry and
   children's entries are given as ``state_entropies`` returns them.
+- ``residual_lasso`` and ``residual_adjacency``: the adaptive lasso with a
+  coordinate descent that keeps an N-length residual in step with the
+  coefficients and a BIC that sums squared residuals over the samples, the
+  residual form of ``adjacency``'s Gram-statistics solves.
 """
 
 import math
@@ -24,6 +28,9 @@ import numpy as np
 from scipy.special import digamma
 
 from pathlingam.errors import DegenerateCorrelation, ZeroVariance
+from pathlingam.adjacency import (
+    CD_MAX_SWEEPS, CD_TOLERANCE, GRID_POINTS, GRID_SPAN, ZERO_THRESHOLD,
+)
 from pathlingam.measures import GAMMA, H_GAUSS, K1, K2, layer_costs, layer_ratios
 
 LOG2 = math.log(2.0)
@@ -149,3 +156,62 @@ def table_ratios(state, children):
 def table_costs(state, children):
     """``layer_costs`` of one state, from its table entries."""
     return layer_costs(*_one_state(state, children))[0]
+
+
+def residual_lasso(design, target, lam, start=None):
+    """Minimize (1/2N)||y - Xw||^2 + lam * ||w||_1 by cyclic updates, each
+    update reading the N-length residual y - Xw."""
+    col_norms = np.mean(design * design, axis=0)
+    w = np.zeros(design.shape[1]) if start is None else start.copy()
+    resid = target - design @ w
+    for _ in range(CD_MAX_SWEEPS):
+        largest_step = 0.0
+        for j in range(design.shape[1]):
+            if col_norms[j] == 0.0:
+                continue
+            old = w[j]
+            rho = np.mean(design[:, j] * resid) + col_norms[j] * old
+            new = np.sign(rho) * max(abs(rho) - lam, 0.0) / col_norms[j]
+            if new != old:
+                resid += design[:, j] * (old - new)
+                w[j] = new
+                largest_step = max(largest_step, abs(new - old))
+        if largest_step < CD_TOLERANCE:
+            break
+    return w
+
+
+def _residual_adaptive_lasso(design, target):
+    n, m = design.shape
+    beta_ols, *_ = np.linalg.lstsq(design, target, rcond=None)
+    weights = np.abs(beta_ols)
+    scaled = design * weights
+    lam_max = np.max(np.abs(scaled.T @ target)) / n
+    if lam_max == 0.0:
+        return np.zeros(m)
+    # The empty model is scored on its own, apart from the grid.
+    best_bic = n * np.log(max(float(np.sum(target * target)), 1e-300) / n)
+    best_u = np.zeros(m)
+    u = np.zeros(m)
+    for lam in np.geomspace(lam_max, lam_max * GRID_SPAN, GRID_POINTS):
+        u = residual_lasso(scaled, target, lam, start=u)
+        rss = float(np.sum((target - scaled @ u) ** 2))
+        bic = n * np.log(max(rss, 1e-300) / n) + np.count_nonzero(u) * np.log(n)
+        if bic < best_bic:
+            best_bic, best_u = bic, u.copy()
+    beta = best_u * weights
+    beta[np.abs(beta) < ZERO_THRESHOLD] = 0.0
+    return beta
+
+
+def residual_adjacency(values, order):
+    """``estimate_adjacency`` of a full-rank data matrix, every regression
+    solved in the residual form."""
+    centered = values - values.mean(axis=0)
+    b_hat = np.zeros((values.shape[1],) * 2)
+    for k in range(1, len(order)):
+        causes = list(order[:k])
+        b_hat[order[k], causes] = _residual_adaptive_lasso(
+            centered[:, causes], centered[:, order[k]]
+        )
+    return b_hat
