@@ -12,7 +12,7 @@ import logging
 
 import numpy as np
 
-from .errors import SingularDesign
+from .errors import NumericOverflow, SingularDesign
 
 log = logging.getLogger(__name__)
 
@@ -53,10 +53,16 @@ def lasso_coordinate_descent(gram, corr, lam, start=None):
 def _adaptive_lasso(design, target, beta_ols):
     n, m = design.shape
     weights = np.abs(beta_ols)
-    scaled = design * weights  # infinite penalty on zero-weight columns
-    gram = scaled.T @ scaled / n
-    corr = scaled.T @ target / n
-    mean_square = float(target @ target) / n
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        scaled = design * weights  # infinite penalty on zero-weight columns
+        gram = scaled.T @ scaled / n
+        corr = scaled.T @ target / n
+        mean_square = float(target @ target) / n
+    if not (np.isfinite(gram).all() and np.isfinite(corr).all()
+            and np.isfinite(mean_square)):
+        raise NumericOverflow(
+            "the adaptive lasso's Gram statistics overflow at this data scale"
+        )
     lam_max = np.max(np.abs(corr))
     if lam_max == 0.0:
         return np.zeros(m)

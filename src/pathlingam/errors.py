@@ -56,6 +56,12 @@ class SingularDesign(PathLingamError):
     exit_code = 5
 
 
+class NumericOverflow(PathLingamError):
+    """A statistic of the data is too large for floating point."""
+
+    exit_code = 5
+
+
 class LengthMismatch(PathLingamError):
     """Two sequences that must have equal length do not."""
 

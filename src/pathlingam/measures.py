@@ -403,13 +403,10 @@ def knn_step_cost(columns, pos, config):
 
     Computes I(column ``pos``; the child state's columns, the others after
     regressing out column ``pos``), clamped below at 0 so Dijkstra sees
-    nonnegative weights. The last remaining feature costs 0 by definition.
-    A column keeping a share 1 - rho^2 of its variance below
-    ``_MIN_KEPT_VARIANCE`` raises DegenerateCorrelation, as in
-    ``plr_matrix``: its residual is rounding noise.
+    nonnegative weights. A column keeping a share 1 - rho^2 of its
+    variance below ``_MIN_KEPT_VARIANCE`` raises DegenerateCorrelation, as
+    in ``plr_matrix``: its residual is rounding noise.
     """
-    if columns.shape[1] == 1:
-        return 0.0
     xc = columns[:, pos]
     k = k_from_rule(config.k_rule, xc.size)
     # The trees take C-ordered points; a transposed view would be copied on

@@ -67,7 +67,9 @@ class CausalOrder:
     """A permutation of feature indices with its per-step and total costs.
 
     ``order[0]`` is the first cause. The final step cost is the edge into the
-    empty node and is exactly 0.
+    empty node and is exactly 0. A search's ``total_cost`` is its step costs
+    added in path order, left to right from 0.0; any other total must match
+    their sum to within ``SUM_TOLERANCE``.
     """
 
     order: tuple
@@ -133,8 +135,16 @@ class GroundTruth:
 
 
 def standardize_values(values):
-    """Center and scale columns to population mean 0, variance 1."""
+    """Center and scale columns to population mean 0, variance 1.
+
+    Each column is first multiplied by the power of two that brings its
+    largest magnitude into [0.5, 1). That is exact, so ordinary data gives
+    the same bits, and data of any finite scale standardizes without its
+    variance overflowing or underflowing.
+    """
     values = np.asarray(values, dtype=float)
+    _, exponent = np.frexp(np.abs(values).max(axis=0))
+    values = np.ldexp(values, -exponent)
     mean = values.mean(axis=0)
     std = values.std(axis=0)
     for index, s in enumerate(std):

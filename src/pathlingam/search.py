@@ -6,6 +6,12 @@ permutation. The edge leaving a state by choosing one candidate is weighted
 by how dependent that candidate still is on the rest, so the cheapest path is
 the most plausible causal ordering. Edges into the goal weigh exactly 0.
 
+Both searches walk the lattice through one read, ``Lattice.steps``: the
+allowed steps out of a state with their weights, the goal edge included.
+Dijkstra carries each frontier entry's path with it, the greedy baseline
+takes the cheapest step of each state it reaches, and both report the
+weights they added, in path order, as the total.
+
 Edge weights are evaluated lazily (only when a state is expanded) and
 memoized per lattice edge. The searches, which expand one state at a time,
 weigh a state's edges with the pairwise PLR kernel on that state's columns;
@@ -113,37 +119,36 @@ class Lattice:
         The prior is closed and acyclic, so a state reached by allowed steps
         always has an allowed feature: one with no predecessor left in it.
         """
-        out = []
-        for f in range(self.p):
-            bit = 1 << f
-            if mask & bit and not mask & self.blockers[f]:
-                out.append(f)
-        return out
+        return [f for f in self._features(mask) if not mask & self.blockers[f]]
+
+    def steps(self, mask):
+        """(feature, weight) of each allowed step out of a nonempty state, in
+        ascending feature order. The goal edge, out of a one-feature state,
+        weighs exactly 0 and is neither evaluated nor memoized."""
+        if mask.bit_count() == 1:
+            return [(mask.bit_length() - 1, 0.0)]
+        return self.costs_at(mask).items()
 
     def costs_at(self, mask):
         """Step cost of each allowed candidate at a state with >= 2 features.
 
-        Returns a dict feature -> cost; memoized, so repeated visits do not
-        recount edges.
+        Returns a dict feature -> cost in ascending feature order; memoized,
+        so repeated visits do not recount edges.
         """
         cached = self._costs.get(mask)
         if cached is not None:
             return cached
-        if self.config.kind is MeasureKind.PLR:
-            return self._memoize(mask, plr_costs(self.columns(mask)))
         columns = self.columns(mask)
-        costs = {
-            f: knn_step_cost(columns, _position(mask, f), self.config)
-            for f in self.allowed_candidates(mask)
-        }
-        self.edges_evaluated += len(costs)
-        self._costs[mask] = costs
-        return costs
+        if self.config.kind is MeasureKind.PLR:
+            return self._memoize(mask, plr_costs(columns).__getitem__)
+        return self._memoize(
+            mask, lambda pos: knn_step_cost(columns, pos, self.config)
+        )
 
-    def _memoize(self, mask, by_position):
-        # PLR costs of every candidate, by residual-column position.
+    def _memoize(self, mask, cost_at_position):
+        # Costs of every candidate, from a function of residual-column position.
         costs = {
-            f: float(by_position[_position(mask, f)])
+            f: float(cost_at_position(_position(mask, f)))
             for f in self.allowed_candidates(mask)
         }
         self.edges_evaluated += len(costs)
@@ -230,26 +235,24 @@ class Lattice:
                 h[children, :width - 1], scale[children, :width - 1],
             )
             for mask, by_position in zip(states, costs):
-                self._memoize(mask, by_position)
+                self._memoize(mask, by_position.__getitem__)
 
     def _features(self, mask):
         return [f for f in range(self.p) if mask >> f & 1]
 
 
-def _reconstruct(parent, full):
-    order, step_costs = [], []
-    mask = 0
-    while mask != full:
-        prev, feature, weight = parent[mask]
-        order.append(feature)
-        step_costs.append(weight)
-        mask = prev
-    order.reverse()
-    step_costs.reverse()
-    return CausalOrder(
-        order=tuple(order),
-        step_costs=tuple(step_costs),
-        total_cost=sum(step_costs),
+def _result(lattice, path, total, states_expanded, start):
+    # ``path``: the linked (rest, feature, weight) steps, last step first.
+    steps = []
+    while path is not None:
+        path, feature, weight = path
+        steps.append((feature, weight))
+    order, step_costs = zip(*reversed(steps))
+    return SearchResult(
+        order=CausalOrder(order=order, step_costs=step_costs, total_cost=total),
+        edges_evaluated=lattice.edges_evaluated,
+        states_expanded=states_expanded,
+        wall_time=time.perf_counter() - start,
     )
 
 
@@ -258,42 +261,28 @@ def shortest_path_order(data, config=None, prior=None):
 
     Deterministic tie-breaking: frontier ties pop the numerically smaller
     remaining-bitset first, and the first relaxation of a node wins, with
-    candidates processed in ascending index order.
+    candidates processed in ascending index order. A state is pushed again
+    only at a strictly lower cost, so entries never tie on (cost, state) and
+    their paths are never compared.
     """
     start = time.perf_counter()
     lattice = Lattice(data, config, prior)
-    full = lattice.full
-    dist = {full: 0.0}
-    parent = {}
+    dist = {lattice.full: 0.0}
     done = set()
-    frontier = [(0.0, full)]
-    states_expanded = 0
+    frontier = [(0.0, lattice.full, None)]
     while True:  # the goal is reachable; see Lattice.allowed_candidates
-        cost, mask = heapq.heappop(frontier)
+        cost, mask, path = heapq.heappop(frontier)
         if mask in done:
             continue
-        done.add(mask)
         if mask == 0:
-            order = _reconstruct(parent, full)
-            return SearchResult(
-                order=order,
-                edges_evaluated=lattice.edges_evaluated,
-                states_expanded=states_expanded,
-                wall_time=time.perf_counter() - start,
-            )
-        states_expanded += 1
-        if mask.bit_count() == 1:
-            # Goal edge: weight exactly 0, no measure evaluation.
-            successors = [(mask.bit_length() - 1, 0.0)]
-        else:
-            successors = sorted(lattice.costs_at(mask).items())
-        for feature, weight in successors:
+            return _result(lattice, path, cost, len(done), start)
+        done.add(mask)
+        for feature, weight in lattice.steps(mask):
             child = mask & ~(1 << feature)
             new_cost = cost + weight
             if new_cost < dist.get(child, np.inf):
                 dist[child] = new_cost
-                parent[child] = (mask, feature, weight)
-                heapq.heappush(frontier, (new_cost, child))
+                heapq.heappush(frontier, (new_cost, child, (path, feature, weight)))
 
 
 def direct_lingam_order(data, config=None, prior=None):
@@ -305,26 +294,10 @@ def direct_lingam_order(data, config=None, prior=None):
     """
     start = time.perf_counter()
     lattice = Lattice(data, config, prior)
-    mask = lattice.full
-    order, step_costs = [], []
-    states_expanded = 0
+    mask, path, total = lattice.full, None, 0.0
     while mask:
-        states_expanded += 1
-        if mask.bit_count() == 1:
-            order.append(mask.bit_length() - 1)
-            step_costs.append(0.0)
-            break
-        costs = lattice.costs_at(mask)
-        best = min(costs, key=lambda f: (costs[f], f))
-        order.append(best)
-        step_costs.append(costs[best])
-        mask &= ~(1 << best)
-    causal = CausalOrder(
-        order=tuple(order), step_costs=tuple(step_costs), total_cost=sum(step_costs)
-    )
-    return SearchResult(
-        order=causal,
-        edges_evaluated=lattice.edges_evaluated,
-        states_expanded=states_expanded,
-        wall_time=time.perf_counter() - start,
-    )
+        feature, weight = min(lattice.steps(mask), key=lambda step: (step[1], step[0]))
+        path = (path, feature, weight)
+        total += weight
+        mask &= ~(1 << feature)
+    return _result(lattice, path, total, lattice.p, start)

@@ -8,7 +8,7 @@ import pytest
 from pathlingam.adjacency import (
     CD_MAX_SWEEPS, estimate_adjacency, lasso_coordinate_descent,
 )
-from pathlingam.errors import SingularDesign
+from pathlingam.errors import NumericOverflow, SingularDesign
 from pathlingam.model import CausalOrder, Dataset
 from pathlingam.simgen import generate, sample_benchmark_params
 from reference import residual_adjacency
@@ -160,6 +160,15 @@ class TestEstimateAdjacency:
         data = Dataset(values=values)
         with pytest.raises(SingularDesign):
             estimate_adjacency(data, (0, 1, 2))
+
+    def test_gram_overflow_raises_a_numeric_error(self):
+        # At this scale X'X/N overflows and every BIC was NaN, which left no
+        # best model (an UnboundLocalError).
+        data = _chain_dataset(11, n=500)
+        big = Dataset(values=data.values * 1e160)
+        with pytest.raises(NumericOverflow, match="overflow") as info:
+            estimate_adjacency(big, (0, 1, 2, 3))
+        assert info.value.exit_code == 5
 
     def test_non_permutation_order_rejected(self):
         data = _chain_dataset(9, n=100)

@@ -29,6 +29,18 @@ def _gen(tmp_path, p=3, n=300, seed=0, extra=()):
     return out
 
 
+def _scaled_copy(data_path, scale):
+    """A copy of a data CSV beside it, every value multiplied by ``scale``."""
+    lines = data_path.read_text().splitlines()
+    values = np.loadtxt(lines[1:], delimiter=",") * scale
+    scaled = data_path.parent / "scaled.csv"
+    scaled.write_text(
+        lines[0] + "\n"
+        + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in values)
+    )
+    return scaled
+
+
 class TestGen:
     def test_writes_data_truth_manifest(self, tmp_path):
         out = _gen(tmp_path)
@@ -174,6 +186,34 @@ class TestDiscover:
         ) == 0
         order = json.loads(result_path.read_text())["order"]
         assert order.index(2) < order.index(0)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_data_of_any_finite_scale_gives_the_unscaled_orders(
+        self, tmp_path, scale
+    ):
+        # 1e160 exited 5 (a variance overflowed to inf), 1e-170 exited 2 (a
+        # variance underflowed to 0).
+        out = _gen(tmp_path, p=4, n=300, seed=7)
+        scaled = _scaled_copy(out / "data.csv", scale)
+        for method in ("spp-plr", "direct-plr", "spp-knn"):
+            results = []
+            for data in (out / "data.csv", scaled):
+                path = tmp_path / "r.json"
+                assert main(["discover", "--data", str(data), "--method", method,
+                             "--out", str(path)]) == 0
+                results.append(json.loads(path.read_text()))
+            assert results[1]["order"] == results[0]["order"]
+            assert results[1]["step_costs"] == pytest.approx(
+                results[0]["step_costs"], rel=1e-9, abs=1e-15
+            )
+
+    def test_adjacency_overflow_exits_5(self, tmp_path, capsys):
+        out = _gen(tmp_path, p=4, n=300, seed=7)
+        scaled = _scaled_copy(out / "data.csv", 1e160)
+        code = main(["discover", "--data", str(scaled), "--adjacency",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 5
+        assert "overflow" in capsys.readouterr().err
 
     def test_cyclic_prior_exits_3(self, tmp_path, capsys):
         out = _gen(tmp_path)

@@ -501,10 +501,6 @@ class TestCountWithin:
 
 
 class TestKnnStepCost:
-    def test_last_feature_is_free(self):
-        config = MeasureConfig(MeasureKind.KNN_MI)
-        assert knn_step_cost(np.arange(30.0)[:, None], 0, config) == 0.0
-
     def test_nonnegative_clamp(self):
         rng = np.random.default_rng(70)
         columns = rng.uniform(-1, 1, (400, 3))

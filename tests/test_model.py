@@ -169,6 +169,22 @@ class TestStandardize:
         assert np.allclose(z.mean(axis=0), 0.0, atol=1e-12)
         assert np.allclose(np.mean(z * z, axis=0), 1.0, atol=1e-12)
 
+    def test_power_of_two_scale_gives_the_same_bits(self):
+        values = np.random.default_rng(3).standard_normal((200, 4)) * [1, 7, 0.01, 300]
+        z = standardize_values(values)
+        assert np.array_equal(z, (values - values.mean(axis=0)) / values.std(axis=0))
+        for exponent in (-900, -600, -3, 5, 600, 1000):
+            assert np.array_equal(standardize_values(np.ldexp(values, exponent)), z)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300, 1e-170, 1e-300])
+    def test_any_finite_scale_standardizes(self, scale):
+        # The variance of 1e160 overflowed and that of 1e-170 underflowed.
+        values = np.random.default_rng(4).standard_normal((200, 3))
+        assert np.allclose(
+            standardize_values(values * scale), standardize_values(values),
+            rtol=1e-12, atol=1e-12,
+        )
+
     def test_zero_variance_column_carries_index(self):
         values = np.random.default_rng(2).standard_normal((50, 3))
         values[:, 1] = 7.0

@@ -8,7 +8,10 @@ search, the lazy edge evaluation, and the order-independence of the shared
 residual cache.
 """
 
+import functools
 import itertools
+import math
+import operator
 import tracemalloc
 from unittest import mock
 
@@ -28,7 +31,7 @@ from pathlingam.search import (
     residualize,
     shortest_path_order,
 )
-from pathlingam.simgen import GenParams, generate
+from pathlingam.simgen import GenParams, generate, generate_trial
 
 from reference import plr, prior_pairs, residual
 
@@ -132,6 +135,47 @@ class TestGreedyAgainstSpp:
                 f for f in costs if costs[f] == cost
             )  # tie goes to the lower index
             mask &= ~(1 << feature)
+
+    def test_totals_are_path_order_sums_under_a_compensated_sum(self):
+        # math.fsum stands in for the compensated float sum() of Python
+        # >= 3.12; a total is the steps added in path order on any
+        # interpreter, so the global minimum never exceeds the greedy walk.
+        with mock.patch.object(search, "sum", math.fsum, create=True):
+            for k in range(40):
+                seed = 3100 + k
+                _, data, _ = generate_trial(6 + k % 7, 1000, k % 2 == 1, seed, (seed,))
+                spp = shortest_path_order(data).order
+                greedy = direct_lingam_order(data).order
+                for order in (spp, greedy):
+                    path_sum = functools.reduce(operator.add, order.step_costs, 0.0)
+                    assert order.total_cost == path_sum
+                assert spp.total_cost <= greedy.total_cost
+
+
+class TestDataScale:
+    """Data of any finite scale gives the orders of the unscaled data."""
+
+    @pytest.fixture(scope="class")
+    def trial(self):
+        _, data, _ = generate_trial(8, 1000, False, 4, (4,))
+        return data
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    @pytest.mark.parametrize("search", [shortest_path_order, direct_lingam_order])
+    def test_scaled_copy_keeps_the_order(self, trial, scale, search):
+        found = search(trial).order
+        scaled = search(Dataset(values=trial.values * scale)).order
+        assert scaled.order == found.order
+        assert scaled.total_cost == pytest.approx(found.total_cost, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_scaled_copy_keeps_the_knn_order(self, scale):
+        data, _ = _dataset(65, p=3, n=200)
+        knn = MeasureConfig(MeasureKind.KNN_MI)
+        found = shortest_path_order(data, knn).order
+        scaled = shortest_path_order(Dataset(values=data.values * scale), knn).order
+        assert scaled.order == found.order
+        assert scaled.step_costs == pytest.approx(found.step_costs, rel=1e-9)
 
 
 _PLR = MeasureConfig()
@@ -292,6 +336,38 @@ class TestAllowedCandidates:
         lattice = Lattice(data)
         assert lattice.allowed_candidates(0b111) == [0, 1, 2]
         assert lattice.allowed_candidates(0b101) == [0, 2]
+
+
+class TestSteps:
+    @pytest.mark.parametrize("kind", [MeasureKind.PLR, MeasureKind.KNN_MI])
+    def test_goal_edge_is_free_and_unevaluated(self, kind):
+        data, _ = _dataset(47, p=3, n=200)
+        lattice = Lattice(data, MeasureConfig(kind))
+        for feature in range(3):
+            assert list(lattice.steps(1 << feature)) == [(feature, 0.0)]
+        assert lattice.edges_evaluated == 0
+        assert lattice._costs == {}
+
+    def test_prior_keeps_allowed_features_in_ascending_order(self):
+        data, _ = _dataset(48, p=5)
+        lattice = Lattice(data, prior=expand_prior([(3, 1), (4, 0)]))
+        for mask in _states_with_edges(5):
+            steps = list(lattice.steps(mask))
+            features = [feature for feature, _ in steps]
+            assert features == lattice.allowed_candidates(mask)
+            assert features == sorted(features)
+            assert dict(steps) == lattice.costs_at(mask)
+
+    @pytest.mark.parametrize("search", [shortest_path_order, direct_lingam_order])
+    def test_searches_never_weigh_a_one_feature_state(self, search):
+        data, _ = _dataset(49, p=5, confounders=1)
+        with mock.patch.object(
+            Lattice, "costs_at", autospec=True, side_effect=Lattice.costs_at
+        ) as costs_at:
+            result = search(data)
+        masks = [call.args[1] for call in costs_at.call_args_list]
+        assert masks and min(mask.bit_count() for mask in masks) >= 2
+        assert result.order.step_costs[-1] == 0.0
 
 
 _PRIOR_DATA = np.random.default_rng(46).normal(size=(12, 6))
