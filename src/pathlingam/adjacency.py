@@ -5,7 +5,9 @@ adaptive lasso. Least squares, whose rank also tests for collinearity, gives
 weights 1/|beta_ols| (gamma = 1). Coordinate descent for each penalty and BIC
 over a 50-point log grid of penalties read only X'X/N and X'y/N (Friedman,
 Hastie & Tibshirani, JSS 2010); a solve stopped by the sweep cap is logged.
-Coefficients below 1e-6 in magnitude are snapped to exact zeros.
+Coefficients below 1e-6 in magnitude are snapped to exact zeros. Data whose
+Gram statistics overflow, or whose mean squares underflow to 1e-300 or
+below, raises NumericOverflow.
 """
 
 import logging
@@ -50,18 +52,27 @@ def lasso_coordinate_descent(gram, corr, lam, start=None):
     return w
 
 
+# Least mean square y'y/N, and x'x/N of a predecessor column, that the
+# adaptive lasso takes; it is also the floor under the BIC's mse. At or
+# below it the statistics have lost their digits to underflow.
+_MEAN_SQUARE_FLOOR = 1e-300
+
+
 def _adaptive_lasso(design, target, beta_ols):
     n, m = design.shape
     weights = np.abs(beta_ols)
-    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):  # raised below
         scaled = design * weights  # infinite penalty on zero-weight columns
         gram = scaled.T @ scaled / n
         corr = scaled.T @ target / n
         mean_square = float(target @ target) / n
+        column_squares = np.einsum("ij,ij->j", design, design) / n
     if not (np.isfinite(gram).all() and np.isfinite(corr).all()
-            and np.isfinite(mean_square)):
+            and _MEAN_SQUARE_FLOOR < mean_square < np.inf
+            and np.all(column_squares > _MEAN_SQUARE_FLOOR)):
         raise NumericOverflow(
-            "the adaptive lasso's Gram statistics overflow at this data scale"
+            "the adaptive lasso's Gram statistics overflow or underflow at "
+            "this data scale"
         )
     lam_max = np.max(np.abs(corr))
     if lam_max == 0.0:
@@ -72,7 +83,7 @@ def _adaptive_lasso(design, target, beta_ols):
     for lam in np.geomspace(lam_max, lam_max * GRID_SPAN, GRID_POINTS):
         u = lasso_coordinate_descent(gram, corr, lam, start=u)
         mse = mean_square - 2.0 * (u @ corr) + u @ gram @ u
-        bic = n * np.log(max(mse, 1e-300)) + np.count_nonzero(u) * np.log(n)
+        bic = n * np.log(max(mse, _MEAN_SQUARE_FLOOR)) + np.count_nonzero(u) * np.log(n)
         if bic < best_bic:
             best_bic, best_u = bic, u.copy()
     beta = best_u * weights

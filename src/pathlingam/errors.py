@@ -57,7 +57,8 @@ class SingularDesign(PathLingamError):
 
 
 class NumericOverflow(PathLingamError):
-    """A statistic of the data is too large for floating point."""
+    """A statistic of the data is too large, or too small, for floating
+    point."""
 
     exit_code = 5
 

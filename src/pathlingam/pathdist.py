@@ -13,8 +13,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateDistribution, TooManyFeatures
+from .measures import MeasureKind
 from .model import _freeze
-from .search import Lattice
+from .search import Lattice, fill_layer_costs
 
 LOG_EPSILON = 1e-12
 ENUMERATION_CAP = 8
@@ -69,35 +70,53 @@ def check_enumeration_cap(p_values, path_mode, max_features):
 
 
 def enumerate_paths(data, config=None, max_features=ENUMERATION_CAP):
-    """Total cost of every one of the p! orderings.
+    """Total cost of every one of the p! orderings: ``enumerate_lengths``
+    of the one dataset."""
+    lengths = enumerate_lengths([data], config, max_features)[0]
+    return PathDistribution(lengths=lengths, mode=PathMode.EXHAUSTIVE)
 
-    Each of the lattice's 2^(p-1) * p edges is weighed once (PLR weights by
-    the entropy-table fill of ``Lattice.fill_costs``). The totals are then
+
+def enumerate_lengths(datasets, config=None, max_features=ENUMERATION_CAP):
+    """Total cost of every ordering of each of B datasets of one p and N, as
+    a B x p! array; row b is what ``enumerate_paths`` gives dataset b alone,
+    bit for bit.
+
+    Each of a lattice's 2^(p-1) * p edges is weighed once: PLR weights by
+    one entropy-table fill of all B lattices (``search.fill_layer_costs``),
+    kNN weights through each lattice's ``costs_at``. The totals are then
     extended forward one lattice layer per numpy step, each partial path by
     every candidate of its state in ascending order, so lengths come out in
     lexicographic permutation order, and each adds its steps in path order,
     as a walk of that permutation would.
     """
-    p = data.n_features
+    if len({(data.n_features, data.n_samples) for data in datasets}) != 1:
+        raise ValueError("a stack of datasets needs one p and one N")
+    p = datasets[0].n_features
     check_enumeration_cap([p], PathMode.EXHAUSTIVE, max_features)
-    lattice = Lattice(data, config)
-    states = [mask for mask in range(lattice.full + 1) if mask.bit_count() >= 2]
-    lattice.fill_costs(states)
-    # cost[mask, j] and bit[mask, j]: the step cost and the bit of the j-th
-    # lowest feature of mask.
-    cost = np.zeros((lattice.full + 1, p))
-    bit = np.zeros((lattice.full + 1, p), dtype=np.int64)
-    for mask in states:
-        costs = lattice.costs_at(mask)
-        features = sorted(costs)
-        cost[mask, :len(features)] = [costs[f] for f in features]
-        bit[mask, :len(features)] = [1 << f for f in features]
-    totals = np.zeros(1)
-    at = np.array([lattice.full])
+    lattices = [Lattice(data, config) for data in datasets]
+    full = (1 << p) - 1
+    states = [mask for mask in range(full + 1) if mask.bit_count() >= 2]
+    if lattices[0].config.kind is MeasureKind.PLR:
+        layers = fill_layer_costs(lattices, states)
+    else:  # one state at a time, each memo in ascending feature order
+        layers = [
+            ([mask], np.array([[list(lattice.costs_at(mask).values())]
+                               for lattice in lattices]))
+            for mask in states
+        ]
+    # cost[b, mask, j] and bit[mask, j]: lattice b's step cost and the bit
+    # of the j-th lowest feature of mask.
+    cost = np.zeros((len(lattices), full + 1, p))
+    for layer, costs in layers:
+        cost[:, layer, :costs.shape[2]] = costs
+    member = np.arange(full + 1)[:, None] >> np.arange(p) & 1
+    bit = 1 << np.argsort(1 - member, axis=1, kind="stable")
+    totals = np.zeros((len(lattices), 1))
+    at = np.array([full])
     for width in range(p, 1, -1):  # the goal edge adds exactly 0
-        totals = (totals[:, None] + cost[at, :width]).ravel()
+        totals = (totals[:, :, None] + cost[:, at, :width]).reshape(len(lattices), -1)
         at = (at[:, None] & ~bit[at, :width]).ravel()
-    return PathDistribution(lengths=totals, mode=PathMode.EXHAUSTIVE)
+    return totals
 
 
 def _steps(permutation, full):
@@ -139,26 +158,37 @@ def sample_paths(data, config, n, seed):
 
 
 def moment_features(dist, log_epsilon=LOG_EPSILON):
-    """Standardized moments of X = log(length + epsilon), orders 3 to 30;
-    epsilon must keep X finite (finite, >= 0, and > 0 if a length is 0).
+    """Standardized moments of X = log(length + epsilon), orders 3 to 30:
+    ``moment_rows`` of the one distribution."""
+    moments = moment_rows(dist.lengths[None], log_epsilon)[0]
+    return MomentFeatures(moments=moments, log_epsilon=log_epsilon)
 
-    Two-pass computation: center, standardize, then take powers of the
-    standardized values, which stays stable up to order 30.
+
+def moment_rows(lengths, log_epsilon=LOG_EPSILON):
+    """Standardized moments of X = log(length + epsilon), orders 3 to 30, of
+    each row of a B x n array of path lengths, as a B x 28 array; row b is
+    the moments of row b alone, bit for bit. epsilon must keep every X
+    finite (finite, >= 0, and > 0 if a length is 0), and every row needs
+    two lengths that differ.
+
+    Two-pass computation along each row: center, standardize, then take
+    powers of the standardized values, which stays stable up to order 30.
     """
-    lengths = dist.lengths
-    if lengths.size < 2:
+    lengths = np.asarray(lengths, dtype=float)
+    if lengths.shape[-1] < 2:
         raise DegenerateDistribution("need at least 2 path lengths")
-    if not (0.0 <= log_epsilon < np.inf and lengths.min() + log_epsilon > 0.0):
+    if not (0.0 <= log_epsilon < np.inf
+            and np.all(lengths.min(axis=-1) + log_epsilon > 0.0)):
         raise ValueError("log_epsilon must be finite, >= 0, and > 0 if a length is 0")
     x = np.log(lengths + log_epsilon)
-    centered = x - x.mean()
-    variance = np.mean(centered * centered)
-    if variance == 0.0:
+    centered = x - x.mean(axis=-1, keepdims=True)
+    variance = np.mean(centered * centered, axis=-1, keepdims=True)
+    if np.any(variance == 0.0):
         raise DegenerateDistribution("all path lengths are equal")
     z = centered / np.sqrt(variance)
-    moments = []
+    moments = np.empty(lengths.shape[:-1] + (len(MOMENT_RANGE),))
     power = z * z
-    for _ in MOMENT_RANGE:
-        power = power * z
-        moments.append(power.mean())
-    return MomentFeatures(moments=moments, log_epsilon=log_epsilon)
+    for k in range(len(MOMENT_RANGE)):
+        power *= z
+        moments[..., k] = power.mean(axis=-1)
+    return moments

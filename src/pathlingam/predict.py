@@ -19,13 +19,19 @@ from .measures import MeasureConfig
 from .metrics import ordering_error
 from .pathdist import (
     ENUMERATION_CAP,
+    MomentFeatures,
     PathMode,
     check_enumeration_cap,
-    enumerate_paths,
-    moment_features,
+    enumerate_lengths,
+    moment_rows,
     sample_paths,
 )
-from .search import check_data_size, direct_lingam_order, shortest_path_order
+from .search import (
+    check_data_size,
+    direct_lingam_order,
+    lattices_per_fill,
+    shortest_path_order,
+)
 from .simgen import generate_trial
 from .util import map_tasks, stable_seed
 
@@ -231,50 +237,86 @@ def build_training_set(
     line: "features" (the moments array), "label", and "meta" with keys
     "p", "seed" and "target". Every p must pass ``check_data_size`` and, in
     exhaustive mode, ``max_features``, checked before the first of the
-    trials, which run one task each over ``jobs`` processes in grid order.
+    trials. The trials run in grid order over ``jobs`` processes, one task
+    per run of consecutive trials of one p: in exhaustive mode a run holds
+    ``search.lattices_per_fill`` trials (87, 32, 13, 5, 2 and 1 at p = 3-8
+    and N = 1000), whose datasets take one stacked fill, totals expansion
+    and moment pass; in sampled mode it holds one. The rows are the same,
+    bit for bit, for any ``jobs`` and however the trials fall into runs.
     """
     config = config if config is not None else MeasureConfig()
     target = PredictTarget(target)
     check_enumeration_cap(p_values, path_mode, max_features)
     for p in p_values:
         check_data_size(int(p), n_samples)
-    tasks = [
-        (target, int(p), trial, int(seed), config, path_mode, n_samples,
-         path_samples, max_features)
-        for p in p_values
-        for trial in range(int(trials_per_p))
+    trials, tasks = int(trials_per_p), []
+    for p in map(int, p_values):
+        batch = 1
+        if path_mode is PathMode.EXHAUSTIVE:
+            batch = lattices_per_fill(p, n_samples)
+        tasks += [
+            (target, p, range(start, min(start + batch, trials)), int(seed),
+             config, path_mode, n_samples, path_samples, max_features)
+            for start in range(0, trials, batch)
+        ]
+    return [
+        row
+        for rows in map_tasks(_training_rows, tasks, jobs)
+        for row in rows
+        if row is not None
     ]
-    return [row for row in map_tasks(_training_row, tasks, jobs) if row is not None]
 
 
-def _training_row(task):
-    """The row of one training trial, or None if it fails numerically."""
-    (target, p, trial, seed, config, path_mode, n_samples,
-     path_samples, max_features) = task
+def _draw_trial(target, p, trial, seed, n_samples):
+    """(trial seed, its rng, params, data, truth) of one training trial."""
     seed_parts = (seed, target.value, p, trial)
     trial_seed = stable_seed(*seed_parts)
     rng = np.random.default_rng(trial_seed)
     with_confounders = bool(rng.integers(0, 2))
     first_seed = int(rng.integers(0, 2**63))
+    return (trial_seed, rng) + generate_trial(
+        p, n_samples, with_confounders, first_seed, seed_parts
+    )
+
+
+def _training_rows(task):
+    """The rows of a run of consecutive trials of one p, in trial order, with
+    None for a trial that fails numerically.
+
+    The run's datasets are enumerated as one stack and their moments taken
+    in one pass (sampled mode runs one trial per task). A run that fails
+    numerically is redone one trial at a time, so only the failing trial is
+    skipped; every other row is the one it gets alone, bit for bit.
+    """
+    (target, p, trials, seed, config, path_mode, n_samples,
+     path_samples, max_features) = task
     try:
-        params, data, truth = generate_trial(
-            p, n_samples, with_confounders, first_seed, seed_parts
-        )
+        drawn = [_draw_trial(target, p, trial, seed, n_samples) for trial in trials]
         if path_mode is PathMode.EXHAUSTIVE:
-            dist = enumerate_paths(data, config, max_features=max_features)
-        else:
-            dist = sample_paths(
-                data, config, path_samples, int(rng.integers(0, 2**63))
+            lengths = enumerate_lengths(
+                [data for _, _, _, data, _ in drawn], config, max_features
             )
-        features = moment_features(dist)
-        label = _label_for(target, params, data, truth, config)
+        else:
+            lengths = [
+                sample_paths(data, config, path_samples, int(rng.integers(0, 2**63)))
+                .lengths
+                for _, rng, _, data, _ in drawn
+            ]
+        moments = moment_rows(lengths)
+        rows = [
+            {
+                "features": MomentFeatures(moments=row).moments,
+                "label": float(_label_for(target, params, data, truth, config)),
+                "meta": {"p": p, "seed": trial_seed, "target": target.value},
+            }
+            for row, (trial_seed, _, params, data, truth) in zip(moments, drawn)
+        ]
     except GenerationFailed:
         raise  # every parameter draw failed: not a numerical failure
     except Exception as error:  # noqa: BLE001 - per-trial isolation
-        log.warning("skipping trial p=%s index=%s: %s", p, trial, error)
-        return None
-    return {
-        "features": features.moments,
-        "label": float(label),
-        "meta": {"p": p, "seed": trial_seed, "target": target.value},
-    }
+        if len(trials) > 1:
+            one_by_one = (task[:2] + (range(t, t + 1),) + task[3:] for t in trials)
+            return [row for one in one_by_one for row in _training_rows(one)]
+        log.warning("skipping trial p=%s index=%s: %s", p, trials[0], error)
+        return [None]
+    return rows

@@ -14,10 +14,12 @@ weights they added, in path order, as the total.
 
 Edge weights are evaluated lazily (only when a state is expanded) and
 memoized per lattice edge. The searches, which expand one state at a time,
-weigh a state's edges with the pairwise PLR kernel on that state's columns;
-path enumeration and path sampling memoize theirs ahead of time from a
+weigh a state's edges with the pairwise PLR kernel on that state's columns.
+Path enumeration and path sampling take theirs ahead of time from a
 per-state entropy table filled by one depth-first walk of the canonical
-tree (``Lattice.fill_costs``), so every path length they report is a
+tree (``fill_layer_costs``): enumeration reads the dense costs it returns,
+for a stack of same-p lattices at once, and sampling reads them through the
+memo (``Lattice.fill_costs``). Every path length they report is a
 path-order sum of the same per-state costs.
 """
 
@@ -53,6 +55,10 @@ class SearchResult:
 def _position(mask, feature):
     # Residual columns are ordered by ascending feature index.
     return (mask & ((1 << feature) - 1)).bit_count()
+
+
+def _features(mask):
+    return [f for f in range(mask.bit_length()) if mask >> f & 1]
 
 
 def _peeled(mask, full):
@@ -119,7 +125,7 @@ class Lattice:
         The prior is closed and acyclic, so a state reached by allowed steps
         always has an allowed feature: one with no predecessor left in it.
         """
-        return [f for f in self._features(mask) if not mask & self.blockers[f]]
+        return [f for f in _features(mask) if not mask & self.blockers[f]]
 
     def steps(self, mask):
         """(feature, weight) of each allowed step out of a nonempty state, in
@@ -158,87 +164,127 @@ class Lattice:
     def fill_costs(self, masks):
         """Memoize the PLR step costs of many states (each of >= 2 features).
 
-        The costs come from a table of per-state entropies, those of each
-        state's standardized canonical columns. The states filled are the
-        asked ones, their children (for entropies) and the canonical
-        ancestors of both (for columns). Each state's columns come from its
-        canonical parent, so these states form a tree rooted at the full
-        state, which is walked depth first: a batch of states of one width
-        puts its entropies into the table with one kernel call, then makes
-        its children in blocks, one batched transition per block, and walks
-        each block in turn. Only the blocks on one root-to-leaf path are
-        held. Once the table is full, the asked states' costs take one
-        batched evaluation per width. Each cost is a function of its state
-        alone, bit for bit, whichever states were filled with it; the
-        pairwise kernel of the searches gives the same costs up to
-        rounding. kNN costs are left to ``costs_at``.
+        The costs are those of ``fill_layer_costs`` on this one lattice, so
+        each cost is a function of its state alone, bit for bit, whichever
+        states were filled with it; the pairwise kernel of the searches
+        gives the same costs up to rounding. kNN costs are left to
+        ``costs_at``.
         """
         if self.config.kind is not MeasureKind.PLR:
             return
         asked = {mask for mask in masks if mask not in self._costs}
         if not asked:
             return
-        wanted = asked | {
-            mask & ~(1 << f) for mask in asked for f in self._features(mask)
-        }
-        # tree[mask]: the filled states whose canonical parent is mask.
-        filled, tree = {self.full}, {}
-        for mask in wanted:
-            while mask not in filled:
-                filled.add(mask)
-                parent = mask | 1 << _peeled(mask, self.full)
-                tree.setdefault(parent, set()).add(mask)
-                mask = parent
-        # The entropy table: row index[mask] of h and scale holds the
-        # entropies and scales of mask's columns, in its first width entries.
-        index = {mask: k for k, mask in enumerate(wanted)}
-        h = np.empty((len(index), self.p))
-        scale = np.empty((len(index), self.p))
-
-        def walk(states, rows):
-            # ``rows``: the states' columns, states x width x N.
-            width, n = rows.shape[1:]
-            keep = [k for k, mask in enumerate(states) if mask in index]
-            if keep:
-                at = [index[states[k]] for k in keep]
-                entropies, std = state_entropies(rows[keep].reshape(-1, n), width)
-                h[at, :width] = entropies.reshape(-1, width)
-                scale[at, :width] = std.reshape(-1, width)
-            children, parents = [], []
-            for k, mask in enumerate(states):
-                for child in sorted(tree.get(mask, ())):
-                    children.append(child)
-                    parents.append(k)
-            if not children:
-                return
-            positions = [_position(c, _peeled(c, self.full)) for c in children]
-            block = max(1, _FILL_BLOCK_ELEMENTS // ((width - 1) * n))
-            for start in range(0, len(children), block):
-                part = slice(start, start + block)
-                walk(
-                    children[part],
-                    residualize_rows(rows, parents[part], positions[part]),
-                )
-
-        walk([self.full], np.ascontiguousarray(self._columns[self.full].T)[None])
-        by_width = {}
-        for mask in asked:
-            by_width.setdefault(mask.bit_count(), []).append(mask)
-        for width, states in by_width.items():
-            at = [index[mask] for mask in states]
-            children = [
-                [index[mask & ~(1 << f)] for f in self._features(mask)]
-                for mask in states
-            ]
-            costs = layer_costs(
-                h[at, :width], scale[at, :width],
-                h[children, :width - 1], scale[children, :width - 1],
-            )
-            for mask, by_position in zip(states, costs):
+        for states, costs in fill_layer_costs([self], asked):
+            for mask, by_position in zip(states, costs[0]):
                 self._memoize(mask, by_position.__getitem__)
 
-    def _features(self, mask):
-        return [f for f in range(self.p) if mask >> f & 1]
+
+def lattices_per_fill(p, n_samples):
+    """How many lattices of ``p`` features and ``n_samples`` samples one
+    ``fill_layer_costs`` call takes whole: as many as keep all their states'
+    columns, p 2^(p-1) rows of n_samples each, within one transition block
+    (``_FILL_BLOCK_ELEMENTS``), and at least one."""
+    return max(1, _FILL_BLOCK_ELEMENTS // ((p << (p - 1)) * n_samples))
+
+
+def fill_layer_costs(lattices, masks):
+    """PLR step costs of B lattices of one p and N at the same states.
+
+    Returns one (states, costs) pair per width of the asked ``masks`` (each
+    of >= 2 features): costs[b, k, j] is lattice b's cost of the j-th
+    lowest feature of states[k], a B x K x width array as ``layer_costs``
+    gives it. The prior is not read.
+
+    The costs come from a table of per-state entropies, those of each
+    state's standardized canonical columns. The states filled are the asked
+    ones, their children (for entropies) and the canonical ancestors of both
+    (for columns). Each state's columns come from its canonical parent, so
+    these states form one tree rooted at the full state, shared by the B
+    lattices, which is walked depth first: a batch of states of one width,
+    held as B x states rows of width x N, puts its entropies into the table
+    with one kernel call, then makes its children in blocks of at most
+    ``_FILL_BLOCK_ELEMENTS`` child-row elements over all B, one batched
+    transition per block, and walks each block in turn. Only the blocks on
+    one root-to-leaf path are held. Once the table is full, the asked
+    states' costs take one batched evaluation per width. ``residualize_rows``,
+    ``state_entropies`` and ``layer_costs`` give each state bits that do not
+    depend on the rest of their stack, so each cost is a function of its
+    lattice and state alone, whatever else was filled with it.
+    """
+    roots = np.stack([lattice._columns[lattice.full].T for lattice in lattices])
+    count, p, _ = roots.shape
+    full = (1 << p) - 1
+    masks = set(masks)
+    wanted = masks | {mask & ~(1 << f) for mask in masks for f in _features(mask)}
+    # tree[mask]: the filled states whose canonical parent is mask.
+    filled, tree = {full}, {}
+    for mask in wanted:
+        while mask not in filled:
+            filled.add(mask)
+            parent = mask | 1 << _peeled(mask, full)
+            tree.setdefault(parent, set()).add(mask)
+            mask = parent
+    # The entropy table: row index[mask] of h[b] and scale[b] holds the
+    # entropies and scales of lattice b's columns of mask, in its first
+    # width entries.
+    index = {mask: k for k, mask in enumerate(wanted)}
+    h = np.empty((count, len(index), p))
+    scale = np.empty((count, len(index), p))
+
+    def walk(states, rows):
+        # ``rows``: the states' columns, (count x states) x width x N, the
+        # states of lattice b at rows b * len(states) on.
+        width, n = rows.shape[1:]
+        offsets = np.arange(count)[:, None] * len(states)
+        keep = [k for k, mask in enumerate(states) if mask in index]
+        if keep:
+            at = [index[states[k]] for k in keep]
+            # Leading integer indices keep the copied rows contiguous, and
+            # the copy is freed before the walk goes down a level.
+            entropies, std = state_entropies(
+                rows[(offsets + keep).ravel()].reshape(-1, n), width
+            )
+            h[:, at, :width] = entropies.reshape(count, len(keep), width)
+            scale[:, at, :width] = std.reshape(count, len(keep), width)
+        children, parents = [], []
+        for k, mask in enumerate(states):
+            for child in sorted(tree.get(mask, ())):
+                children.append(child)
+                parents.append(k)
+        if not children:
+            return
+        positions = [_position(c, _peeled(c, full)) for c in children]
+        block = max(1, _FILL_BLOCK_ELEMENTS // (count * (width - 1) * n))
+        for start in range(0, len(children), block):
+            part = slice(start, start + block)
+            walk(
+                children[part],
+                residualize_rows(
+                    rows,
+                    (offsets + parents[part]).ravel(),
+                    np.tile(positions[part], count),
+                ),
+            )
+
+    walk([full], roots)
+    by_width = {}
+    for mask in masks:
+        by_width.setdefault(mask.bit_count(), []).append(mask)
+    layers = []
+    for width, states in sorted(by_width.items()):
+        at = [index[mask] for mask in states]
+        children = [
+            [index[mask & ~(1 << f)] for f in _features(mask)] for mask in states
+        ]
+        costs = layer_costs(
+            h[:, at, :width].reshape(-1, width),
+            scale[:, at, :width].reshape(-1, width),
+            h[:, children, :width - 1].reshape(-1, width, width - 1),
+            scale[:, children, :width - 1].reshape(-1, width, width - 1),
+        )
+        layers.append((states, costs.reshape(count, len(states), width)))
+    return layers
 
 
 def _result(lattice, path, total, states_expanded, start):

@@ -170,6 +170,24 @@ class TestEstimateAdjacency:
             estimate_adjacency(big, (0, 1, 2, 3))
         assert info.value.exit_code == 5
 
+    @pytest.mark.parametrize("scale", [1e-152, 1e-160, 1e-170])
+    def test_underflowing_mean_squares_raise_a_numeric_error(self, scale):
+        # With y'y/N and x'x/N at or below 1e-300, 1e-152 gave an empty
+        # support, 1e-160 raised ValueError from the penalty grid, and
+        # 1e-170 gave an all-zero b_hat.
+        data = _chain_dataset(11, n=500)
+        tiny = Dataset(values=data.values * scale)
+        with pytest.raises(NumericOverflow, match="underflow") as info:
+            estimate_adjacency(tiny, (0, 1, 2, 3))
+        assert info.value.exit_code == 5
+
+    def test_small_scale_above_the_floor_keeps_the_support(self):
+        data = _chain_dataset(11, n=500)
+        small = Dataset(values=data.values * 1e-140)
+        assert _edges(estimate_adjacency(small, (0, 1, 2, 3))) == _edges(
+            estimate_adjacency(data, (0, 1, 2, 3))
+        )
+
     def test_non_permutation_order_rejected(self):
         data = _chain_dataset(9, n=100)
         with pytest.raises(ValueError):

@@ -215,6 +215,17 @@ class TestDiscover:
         assert code == 5
         assert "overflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", [1e-152, 1e-160, 1e-170])
+    def test_adjacency_underflow_exits_5(self, tmp_path, capsys, scale):
+        # These scales exited 0 with a wrong or empty support, or exited on a
+        # ValueError from the penalty grid.
+        out = _gen(tmp_path, p=4, n=300, seed=7)
+        scaled = _scaled_copy(out / "data.csv", scale)
+        code = main(["discover", "--data", str(scaled), "--adjacency",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 5
+        assert "underflow" in capsys.readouterr().err
+
     def test_cyclic_prior_exits_3(self, tmp_path, capsys):
         out = _gen(tmp_path)
         prior_path = tmp_path / "cycle.json"
@@ -475,7 +486,8 @@ class TestTrainPredictEval:
         assert list(tmp_path.iterdir()) == []
 
     def test_jobs_2_writes_the_rows_of_jobs_1(self, tmp_path):
-        # One task per trial, so a single --p fans out over the pool too.
+        # Two p make two tasks, one run of trials each, over the pool; one p
+        # makes one task, run in this process.
         for p, count in (("3,4", 6), ("4", 3)):
             rows = []
             for jobs in ("1", "2"):

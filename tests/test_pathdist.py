@@ -1,12 +1,18 @@
 """Tests for path-length distributions and their moment features."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from pathlingam import search
+
 from pathlingam.errors import DegenerateDistribution, TooManyFeatures, ZeroVariance
+from pathlingam.measures import MeasureConfig, MeasureKind
 from pathlingam.model import Dataset
 from pathlingam.pathdist import (
     LOG_EPSILON,
@@ -14,8 +20,10 @@ from pathlingam.pathdist import (
     MomentFeatures,
     PathDistribution,
     PathMode,
+    enumerate_lengths,
     enumerate_paths,
     moment_features,
+    moment_rows,
     sample_paths,
 )
 from pathlingam.search import shortest_path_order
@@ -89,6 +97,51 @@ class TestEnumerate:
         small = _dataset(4, p=4)
         with pytest.raises(TooManyFeatures):
             enumerate_paths(small, max_features=3)
+
+
+class TestStack:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        count=st.integers(1, 5),
+        p=st.integers(2, 6),
+        n=st.integers(10, 120),
+        seed=st.integers(0, 2**32 - 1),
+        one_child_blocks=st.booleans(),
+    )
+    def test_each_row_is_its_dataset_enumerated_alone(
+        self, count, p, n, seed, one_child_blocks
+    ):
+        """Stacked lengths and moments are == to those of each dataset
+        alone, also when every transition block holds one child."""
+        datasets = [_dataset(seed + b, p=p, n=max(n, p + 2)) for b in range(count)]
+        block = 1 if one_child_blocks else search._FILL_BLOCK_ELEMENTS
+        with mock.patch.object(search, "_FILL_BLOCK_ELEMENTS", block):
+            lengths = enumerate_lengths(datasets)
+        moments = moment_rows(lengths)
+        assert lengths.shape == (count, np.prod(range(1, p + 1)))
+        for b, data in enumerate(datasets):
+            alone = enumerate_paths(data)
+            assert np.array_equal(lengths[b], alone.lengths)
+            assert np.array_equal(moments[b], moment_features(alone).moments)
+
+    def test_knn_rows_are_their_datasets_alone(self):
+        config = MeasureConfig(MeasureKind.KNN_MI)
+        datasets = [_dataset(seed, p=3, n=120) for seed in (20, 21)]
+        lengths = enumerate_lengths(datasets, config)
+        for row, data in zip(lengths, datasets):
+            assert np.array_equal(row, enumerate_paths(data, config).lengths)
+
+    def test_stack_needs_one_p_and_one_n(self):
+        with pytest.raises(ValueError, match="one p and one N"):
+            enumerate_lengths([_dataset(0, p=3), _dataset(1, p=4)])
+        with pytest.raises(ValueError, match="one p and one N"):
+            enumerate_lengths([_dataset(0, n=100), _dataset(1, n=101)])
+
+    def test_one_degenerate_row_raises(self):
+        rows = np.array([[1.0, 2.0, 3.0], [2.0, 2.0, 2.0]])
+        with pytest.raises(DegenerateDistribution):
+            moment_rows(rows)
+        assert moment_rows(rows[:1]).shape == (1, len(MOMENT_RANGE))
 
 
 class TestSample:

@@ -1,11 +1,18 @@
 """Tests for the kNN graph-property predictors and ROC summaries."""
 
+import logging
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from pathlingam import simgen
-from pathlingam.errors import EmptyTrainingSet, GenerationFailed, SingleClass
+from pathlingam import predict, simgen
+from pathlingam.errors import (
+    DegenerateCorrelation,
+    EmptyTrainingSet,
+    GenerationFailed,
+    SingleClass,
+)
 from pathlingam.pathdist import enumerate_paths, moment_features
 from pathlingam.predict import (
     BINARY_TARGETS,
@@ -17,7 +24,8 @@ from pathlingam.predict import (
     knn_regress,
     roc_summary,
 )
-from pathlingam.simgen import generate, sample_benchmark_params
+from pathlingam.model import Dataset
+from pathlingam.simgen import generate, generate_trial, sample_benchmark_params
 from pathlingam.util import stable_seed
 
 
@@ -322,6 +330,55 @@ class TestBuildTrainingSet:
         with pytest.raises(GenerationFailed):
             build_training_set("confounder", [3], 2, 0)
         assert len(set(calls)) == len(calls) == 5
+
+    def test_failing_trial_is_skipped_alone_from_its_batch(self, monkeypatch, caplog):
+        # Trial 2's data repeats column 0 as column 1, so its residual on
+        # column 0 is left with nothing: the batch of six fails and is redone
+        # one trial at a time.
+        kwargs = dict(p_values=[3], trials_per_p=6, seed=4)
+        clean = build_training_set("confounder", **kwargs)
+        bad = {}
+
+        def with_a_bad_trial(p, n_samples, with_confounders, first_seed, seed_parts):
+            params, data, truth = generate_trial(
+                p, n_samples, with_confounders, first_seed, seed_parts
+            )
+            if seed_parts[-1] == 2:
+                values = data.values.copy()
+                values[:, 1] = values[:, 0]
+                bad["data"] = data = Dataset(values=values)
+            return params, data, truth
+
+        monkeypatch.setattr(predict, "generate_trial", with_a_bad_trial)
+        with caplog.at_level(logging.WARNING, logger="pathlingam.predict"):
+            rows = build_training_set("confounder", **kwargs)
+        with pytest.raises(DegenerateCorrelation) as alone:
+            enumerate_paths(bad["data"])
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping trial p=3 index=2: {alone.value}"
+        ]
+        assert len(rows) == 5
+        for row, expected in zip(rows, clean[:2] + clean[3:]):
+            assert row["features"].tobytes() == expected["features"].tobytes()
+            assert row["label"] == expected["label"]
+            assert row["meta"] == expected["meta"]
+
+    def test_rows_do_not_depend_on_batches_or_jobs(self, monkeypatch):
+        # 40 trials are 32 + 8 at p = 4 and one batch at p = 3.
+        kwargs = dict(p_values=[4, 3], trials_per_p=40, seed=9)
+        runs = [build_training_set("confounder", **kwargs)]
+        runs.append(build_training_set("confounder", jobs=2, **kwargs))
+        monkeypatch.setattr(predict, "lattices_per_fill", lambda p, n: 3)
+        runs.append(build_training_set("confounder", **kwargs))
+        monkeypatch.setattr(predict, "lattices_per_fill", lambda p, n: 1)
+        runs.append(build_training_set("confounder", **kwargs))
+        assert len(runs[0]) == 80
+        for run in runs[1:]:
+            assert len(run) == len(runs[0])
+            for row, expected in zip(run, runs[0]):
+                assert row["features"].tobytes() == expected["features"].tobytes()
+                assert row["label"] == expected["label"]
+                assert row["meta"] == expected["meta"]
 
     def test_binary_target_registry(self):
         assert PredictTarget.CONFOUNDER in BINARY_TARGETS

@@ -28,6 +28,7 @@ from pathlingam.pathdist import enumerate_paths
 from pathlingam.search import (
     Lattice,
     direct_lingam_order,
+    lattices_per_fill,
     residualize,
     shortest_path_order,
 )
@@ -596,6 +597,15 @@ class TestFill:
         walk(whole.full, 0.0)
         assert np.array_equal(enumerate_paths(dataset).lengths, totals)
         assert np.array_equal(single_lengths, totals)
+
+    def test_a_stack_of_whole_lattices_fits_one_block(self):
+        assert [lattices_per_fill(p, 1000) for p in range(3, 9)] == [
+            87, 32, 13, 5, 2, 1,
+        ]
+        for p in range(3, 9):
+            count = lattices_per_fill(p, 1000)
+            assert count * (p << (p - 1)) * 1000 <= search._FILL_BLOCK_ELEMENTS or count == 1
+        assert lattices_per_fill(14, 100_000) == 1
 
     def test_full_fill_memory_is_bounded_by_the_block(self):
         """A fill holds one block of child rows per level of its walk, so
