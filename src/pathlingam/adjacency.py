@@ -94,13 +94,14 @@ def _adaptive_lasso(design, target, beta_ols):
 def estimate_adjacency(data, order):
     """Sparse coefficient matrix consistent with an ordering.
 
-    For each feature, in causal position order, regress it on every
-    predecessor with the adaptive lasso. ``b_hat[effect, cause]`` follows the
-    structural convention x = Bx + e, so its nonzero entries are the directed
-    edges, and permuting rows and columns by the ordering gives a strictly
+    ``order`` is a permutation of feature indices, first cause first. For
+    each feature, in causal position order, regress it on every predecessor
+    with the adaptive lasso. ``b_hat[effect, cause]`` follows the structural
+    convention x = Bx + e, so its nonzero entries are the directed edges,
+    and permuting rows and columns by the ordering gives a strictly
     lower-triangular matrix.
     """
-    sequence = tuple(getattr(order, "order", order))
+    sequence = tuple(order)
     p = data.n_features
     if sorted(sequence) != list(range(p)):
         raise ValueError("order must be a permutation of the data's features")

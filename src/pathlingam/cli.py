@@ -315,13 +315,13 @@ def cmd_discover(values):
         prior = expand_prior(read_json(values["prior"], list), data.n_features) or None
     result = search(data, config, prior)
     payload = {
-        "order": list(result.order.order),
-        "total_cost": result.order.total_cost,
-        "step_costs": list(result.order.step_costs),
+        "order": list(result.order),
+        "total_cost": result.total_cost,
+        "step_costs": list(result.step_costs),
         "edges_evaluated": result.edges_evaluated,
     }
     if values["adjacency"]:
-        payload["b_hat"] = estimate_adjacency(data, result.order.order)
+        payload["b_hat"] = estimate_adjacency(data, result.order)
     payload["runtime_ms"] = result.wall_time * 1000.0
     write_json_atomic(values["out"], payload)
     return [values["out"]]

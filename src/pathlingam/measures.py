@@ -275,10 +275,10 @@ def plr_matrix(columns):
     if columns.ndim != 2 or columns.shape[1] < 2:
         raise ValueError("plr_matrix needs at least 2 columns")
     n, m = columns.shape
-    std = columns.std(axis=0)
+    z = columns - columns.mean(axis=0)
+    std = np.sqrt(np.mean(z * z, axis=0))
     if np.any(std == 0.0):
         raise ZeroVariance("a candidate column is constant")
-    z = columns - columns.mean(axis=0)
     z /= std
     rho = z.T @ z / n
     np.fill_diagonal(rho, 0.0)

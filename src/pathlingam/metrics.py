@@ -6,12 +6,12 @@ from .errors import LengthMismatch
 def ordering_error(estimated, truth):
     """Pairwise disagreement between an estimated and a true ordering.
 
-    ``estimated`` is a CausalOrder (or bare permutation); ``truth`` is the
-    true permutation, both listing feature indices from first cause onward.
-    Each unordered pair counts once: with r pairs in the wrong relative
-    order, returns e_o = 2r / (p(p-1)), the fraction of pairs misplaced.
+    ``estimated`` and ``truth`` are permutations of feature indices (such as
+    a ``SearchResult``'s ``order``), each from first cause onward. Each
+    unordered pair counts once: with r pairs in the wrong relative order,
+    returns e_o = 2r / (p(p-1)), the fraction of pairs misplaced.
     """
-    est = tuple(getattr(estimated, "order", estimated))
+    est = tuple(estimated)
     truth = tuple(int(i) for i in truth)
     if len(est) != len(truth):
         raise LengthMismatch(

@@ -1,4 +1,5 @@
-"""Core domain types shared by every module.
+"""Datasets, ground truth and prior knowledge: the domain types shared by
+every module. A search's ordering is ``search.SearchResult``.
 
 All types are immutable after construction (arrays are marked read-only) and
 operations here are pure, so everything is safe to share across threads.
@@ -14,9 +15,6 @@ import numpy as np
 
 from .errors import CyclicPrior, ZeroVarianceColumn
 from .util import whole_number
-
-# Tolerance used when a stored aggregate must match a recomputed sum.
-SUM_TOLERANCE = 1e-9
 
 
 def _freeze(array):
@@ -60,38 +58,6 @@ class Dataset:
     @property
     def n_features(self):
         return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class CausalOrder:
-    """A permutation of feature indices with its per-step and total costs.
-
-    ``order[0]`` is the first cause. The final step cost is the edge into the
-    empty node and is exactly 0. A search's ``total_cost`` is its step costs
-    added in path order, left to right from 0.0; any other total must match
-    their sum to within ``SUM_TOLERANCE``.
-    """
-
-    order: tuple
-    step_costs: tuple
-    total_cost: float
-
-    def __post_init__(self):
-        order = tuple(int(i) for i in self.order)
-        costs = tuple(float(c) for c in self.step_costs)
-        if sorted(order) != list(range(len(order))):
-            raise ValueError("order is not a permutation of 0..p-1")
-        if len(costs) != len(order):
-            raise ValueError("one step cost per ordered feature required")
-        if any(c < 0 for c in costs):
-            raise ValueError("step costs must be nonnegative")
-        if costs and costs[-1] != 0.0:
-            raise ValueError("final step cost must be exactly 0")
-        if abs(float(self.total_cost) - sum(costs)) > SUM_TOLERANCE:
-            raise ValueError("total_cost does not match the step-cost sum")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "step_costs", costs)
-        object.__setattr__(self, "total_cost", float(self.total_cost))
 
 
 @dataclass(frozen=True)

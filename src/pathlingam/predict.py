@@ -239,7 +239,7 @@ def build_training_set(
     exhaustive mode, ``max_features``, checked before the first of the
     trials. The trials run in grid order over ``jobs`` processes, one task
     per run of consecutive trials of one p: in exhaustive mode a run holds
-    ``search.lattices_per_fill`` trials (87, 32, 13, 5, 2 and 1 at p = 3-8
+    ``search.lattices_per_fill`` trials (43, 16, 6, 2, 1 and 1 at p = 3-8
     and N = 1000), whose datasets take one stacked fill, totals expansion
     and moment pass; in sampled mode it holds one. The rows are the same,
     bit for bit, for any ``jobs`` and however the trials fall into runs.

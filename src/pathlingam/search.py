@@ -39,17 +39,46 @@ from .measures import (
     residualize_rows,
     state_entropies,
 )
-from .model import CausalOrder, standardize_values
+from .model import standardize_values
+
+# Tolerance used when a stored total must match its recomputed sum.
+SUM_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    """An ordering plus how much work the search did to find it."""
+    """A causal ordering, its step costs and total, and the search's work.
 
-    order: CausalOrder
+    ``order`` is a permutation of feature indices, ``order[0]`` the first
+    cause; ``step_costs`` weigh its edges in path order, the last (into the
+    empty node) exactly 0. A search adds them left to right from 0.0 for
+    ``total_cost``; any other total must match their sum to within
+    ``SUM_TOLERANCE``.
+    """
+
+    order: tuple
+    step_costs: tuple
+    total_cost: float
     edges_evaluated: int
     states_expanded: int
     wall_time: float
+
+    def __post_init__(self):
+        order = tuple(int(i) for i in self.order)
+        costs = tuple(float(c) for c in self.step_costs)
+        if sorted(order) != list(range(len(order))):
+            raise ValueError("order is not a permutation of 0..p-1")
+        if len(costs) != len(order):
+            raise ValueError("one step cost per ordered feature required")
+        if any(c < 0 for c in costs):
+            raise ValueError("step costs must be nonnegative")
+        if costs and costs[-1] != 0.0:
+            raise ValueError("final step cost must be exactly 0")
+        if abs(float(self.total_cost) - sum(costs)) > SUM_TOLERANCE:
+            raise ValueError("total_cost does not match the step-cost sum")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "step_costs", costs)
+        object.__setattr__(self, "total_cost", float(self.total_cost))
 
 
 def _position(mask, feature):
@@ -68,8 +97,8 @@ def _peeled(mask, full):
 
 
 # Most child-row elements one transition of the fill makes: each level of
-# its depth-first walk holds about 8 MB of residual columns, whatever p and N.
-_FILL_BLOCK_ELEMENTS = 1 << 20
+# its depth-first walk holds about 4 MB of residual columns, whatever p and N.
+_FILL_BLOCK_ELEMENTS = 1 << 19
 
 
 def check_data_size(p, n_samples):
@@ -295,7 +324,9 @@ def _result(lattice, path, total, states_expanded, start):
         steps.append((feature, weight))
     order, step_costs = zip(*reversed(steps))
     return SearchResult(
-        order=CausalOrder(order=order, step_costs=step_costs, total_cost=total),
+        order=order,
+        step_costs=step_costs,
+        total_cost=total,
         edges_evaluated=lattice.edges_evaluated,
         states_expanded=states_expanded,
         wall_time=time.perf_counter() - start,

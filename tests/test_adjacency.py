@@ -9,7 +9,8 @@ from pathlingam.adjacency import (
     CD_MAX_SWEEPS, estimate_adjacency, lasso_coordinate_descent,
 )
 from pathlingam.errors import NumericOverflow, SingularDesign
-from pathlingam.model import CausalOrder, Dataset
+from pathlingam.model import Dataset
+from pathlingam.search import SearchResult
 from pathlingam.simgen import generate, sample_benchmark_params
 from reference import residual_adjacency
 
@@ -128,10 +129,10 @@ class TestEstimateAdjacency:
         permuted = b_hat[np.ix_(order, order)]
         assert np.array_equal(np.triu(permuted), np.zeros((4, 4)))
 
-    def test_accepts_causal_order_object(self):
+    def test_accepts_a_search_results_order(self):
         data = _chain_dataset(6)
-        order = CausalOrder(order=(0, 1, 2, 3), step_costs=(0.0, 0.0, 0.0, 0.0), total_cost=0.0)
-        b_hat = estimate_adjacency(data, order)
+        result = SearchResult((0, 1, 2, 3), (0.0, 0.0, 0.0, 0.0), 0.0, 0, 0, 0.0)
+        b_hat = estimate_adjacency(data, result.order)
         assert (0, 1) in _edges(b_hat)
 
     def test_ordering_controls_edge_direction(self):

@@ -4,7 +4,7 @@ import pytest
 
 from pathlingam.errors import LengthMismatch
 from pathlingam.metrics import ordering_error
-from pathlingam.model import CausalOrder
+from pathlingam.search import SearchResult
 
 
 class TestOrderingError:
@@ -21,9 +21,9 @@ class TestOrderingError:
         # pairs disagreeing between (2,0,1) and (0,1,2): {0,2} and {1,2}
         assert ordering_error((2, 0, 1), (0, 1, 2)) == pytest.approx(2 / 3)
 
-    def test_accepts_causal_order(self):
-        order = CausalOrder((1, 0), (0.3, 0.0), 0.3)
-        assert ordering_error(order, (0, 1)) == 1.0
+    def test_accepts_a_search_results_order(self):
+        result = SearchResult((1, 0), (0.3, 0.0), 0.3, 2, 2, 0.0)
+        assert ordering_error(result.order, (0, 1)) == 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):

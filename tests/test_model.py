@@ -5,7 +5,6 @@ import pytest
 
 from pathlingam.errors import CyclicPrior, ZeroVarianceColumn
 from pathlingam.model import (
-    CausalOrder,
     Dataset,
     GroundTruth,
     expand_prior,
@@ -44,36 +43,6 @@ class TestDataset:
     def test_rejects_name_count_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             Dataset(np.ones((2, 2)), names=("a",))
-
-
-class TestCausalOrder:
-    def test_valid(self):
-        order = CausalOrder((1, 0, 2), (0.5, 0.25, 0.0), 0.75)
-        assert order.order == (1, 0, 2)
-        assert order.total_cost == 0.75
-
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError, match="permutation"):
-            CausalOrder((0, 0, 1), (0.0, 0.0, 0.0), 0.0)
-
-    def test_rejects_negative_cost(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            CausalOrder((0, 1), (-0.1, 0.0), -0.1)
-
-    def test_rejects_nonzero_final_cost(self):
-        with pytest.raises(ValueError, match="final"):
-            CausalOrder((0, 1), (0.0, 0.1), 0.1)
-
-    def test_rejects_total_mismatch(self):
-        with pytest.raises(ValueError, match="total_cost"):
-            CausalOrder((0, 1), (0.5, 0.0), 0.75)
-
-    def test_total_within_tolerance_accepted(self):
-        CausalOrder((0, 1), (0.5, 0.0), 0.5 + 5e-10)
-
-    def test_rejects_cost_count_mismatch(self):
-        with pytest.raises(ValueError, match="one step cost"):
-            CausalOrder((0, 1), (0.0,), 0.0)
 
 
 class TestGroundTruth:

@@ -87,7 +87,7 @@ class TestEnumerate:
             data = _dataset(seed, p=4)
             dist = enumerate_paths(data)
             result = shortest_path_order(data)
-            assert abs(min(dist.lengths) - result.order.total_cost) < 1e-9
+            assert abs(min(dist.lengths) - result.total_cost) < 1e-9
 
     def test_feature_cap(self):
         rng = np.random.default_rng(3)

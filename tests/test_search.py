@@ -27,6 +27,7 @@ from pathlingam.model import Dataset, expand_prior
 from pathlingam.pathdist import enumerate_paths
 from pathlingam.search import (
     Lattice,
+    SearchResult,
     direct_lingam_order,
     lattices_per_fill,
     residualize,
@@ -88,13 +89,13 @@ class TestBruteForceOracle:
             _path_cost(data.values, perm)
             for perm in itertools.permutations(range(p))
         )
-        assert result.order.total_cost == pytest.approx(best, abs=1e-9)
+        assert result.total_cost == pytest.approx(best, abs=1e-9)
 
     def test_reported_path_cost_matches_fresh_recomputation(self):
         data, _ = _dataset(7, p=4)
         result = shortest_path_order(data)
-        fresh = _path_cost(data.values, result.order.order)
-        assert result.order.total_cost == pytest.approx(fresh, abs=1e-9)
+        fresh = _path_cost(data.values, result.order)
+        assert result.total_cost == pytest.approx(fresh, abs=1e-9)
 
     def test_confounded_data_too(self):
         data, _ = _dataset(11, p=4, confounders=1)
@@ -103,7 +104,7 @@ class TestBruteForceOracle:
             _path_cost(data.values, perm)
             for perm in itertools.permutations(range(4))
         )
-        assert result.order.total_cost == pytest.approx(best, abs=1e-9)
+        assert result.total_cost == pytest.approx(best, abs=1e-9)
 
 
 class TestGreedyAgainstSpp:
@@ -112,16 +113,16 @@ class TestGreedyAgainstSpp:
             data, _ = _dataset(100 + seed, p=5, n=250)
             spp = shortest_path_order(data)
             greedy = direct_lingam_order(data)
-            assert greedy.order.total_cost >= spp.order.total_cost - 1e-12
+            assert greedy.total_cost >= spp.total_cost - 1e-12
 
     def test_identical_at_p2(self):
         for seed in range(8):
             data, _ = _dataset(200 + seed, p=2)
             spp = shortest_path_order(data)
             greedy = direct_lingam_order(data)
-            assert spp.order.order == greedy.order.order
-            assert spp.order.total_cost == pytest.approx(
-                greedy.order.total_cost, abs=1e-12
+            assert spp.order == greedy.order
+            assert spp.total_cost == pytest.approx(
+                greedy.total_cost, abs=1e-12
             )
 
     def test_greedy_step_costs_are_the_running_minima(self):
@@ -129,7 +130,7 @@ class TestGreedyAgainstSpp:
         greedy = direct_lingam_order(data)
         lattice = Lattice(data)
         mask = lattice.full
-        for feature, cost in zip(greedy.order.order[:-1], greedy.order.step_costs):
+        for feature, cost in zip(greedy.order[:-1], greedy.step_costs):
             costs = lattice.costs_at(mask)
             assert cost == min(costs.values())
             assert feature == min(
@@ -145,11 +146,11 @@ class TestGreedyAgainstSpp:
             for k in range(40):
                 seed = 3100 + k
                 _, data, _ = generate_trial(6 + k % 7, 1000, k % 2 == 1, seed, (seed,))
-                spp = shortest_path_order(data).order
-                greedy = direct_lingam_order(data).order
-                for order in (spp, greedy):
-                    path_sum = functools.reduce(operator.add, order.step_costs, 0.0)
-                    assert order.total_cost == path_sum
+                spp = shortest_path_order(data)
+                greedy = direct_lingam_order(data)
+                for result in (spp, greedy):
+                    path_sum = functools.reduce(operator.add, result.step_costs, 0.0)
+                    assert result.total_cost == path_sum
                 assert spp.total_cost <= greedy.total_cost
 
 
@@ -164,8 +165,8 @@ class TestDataScale:
     @pytest.mark.parametrize("scale", [1e160, 1e-170])
     @pytest.mark.parametrize("search", [shortest_path_order, direct_lingam_order])
     def test_scaled_copy_keeps_the_order(self, trial, scale, search):
-        found = search(trial).order
-        scaled = search(Dataset(values=trial.values * scale)).order
+        found = search(trial)
+        scaled = search(Dataset(values=trial.values * scale))
         assert scaled.order == found.order
         assert scaled.total_cost == pytest.approx(found.total_cost, rel=1e-9)
 
@@ -173,8 +174,8 @@ class TestDataScale:
     def test_scaled_copy_keeps_the_knn_order(self, scale):
         data, _ = _dataset(65, p=3, n=200)
         knn = MeasureConfig(MeasureKind.KNN_MI)
-        found = shortest_path_order(data, knn).order
-        scaled = shortest_path_order(Dataset(values=data.values * scale), knn).order
+        found = shortest_path_order(data, knn)
+        scaled = shortest_path_order(Dataset(values=data.values * scale), knn)
         assert scaled.order == found.order
         assert scaled.step_costs == pytest.approx(found.step_costs, rel=1e-9)
 
@@ -210,8 +211,8 @@ class TestSearchProperties:
     @given(_search_cases())
     def test_spp_is_the_enumerated_minimum_and_beats_greedy(self, case):
         data, config, _ = case
-        spp = shortest_path_order(data, config).order.total_cost
-        assert spp <= direct_lingam_order(data, config).order.total_cost
+        spp = shortest_path_order(data, config).total_cost
+        assert spp <= direct_lingam_order(data, config).total_cost
         best = min(enumerate_paths(data, config).lengths)
         assert spp == pytest.approx(best, rel=1e-9, abs=1e-12)
 
@@ -219,8 +220,8 @@ class TestSearchProperties:
     @given(_search_cases())
     def test_prior_is_respected_and_only_raises_the_total(self, case):
         data, config, prior = case
-        free = shortest_path_order(data, config).order
-        constrained = shortest_path_order(data, config, prior).order
+        free = shortest_path_order(data, config)
+        constrained = shortest_path_order(data, config, prior)
         for a, b in prior_pairs(prior):
             assert constrained.order.index(a) < constrained.order.index(b)
         assert constrained.total_cost >= free.total_cost
@@ -240,8 +241,8 @@ class TestSearchProperties:
         original, _ = _dataset(seed, p=p, n=300, confounders=confounders)
         columns = data.draw(st.permutations(range(p)))
         permuted = Dataset(values=original.values[:, columns])
-        found = search(original).order.total_cost
-        moved = search(permuted).order
+        found = search(original).total_cost
+        moved = search(permuted)
         assert moved.total_cost == pytest.approx(found, rel=1e-9, abs=1e-12)
         # The permuted run's order, in original column indices, costs as
         # much on the original data.
@@ -279,6 +280,35 @@ class TestAccounting:
         assert shortest_path_order(data).wall_time > 0.0
 
 
+def _result(order, step_costs, total_cost):
+    return SearchResult(order, step_costs, total_cost, 0, 0, 0.0)
+
+
+class TestSearchResult:
+    def test_valid(self):
+        result = _result((1, 0, 2), (0.5, 0.25, 0.0), 0.75)
+        assert result.order == (1, 0, 2)
+        assert result.total_cost == 0.75
+
+    def test_total_within_tolerance_accepted(self):
+        _result((0, 1), (0.5, 0.0), 0.5 + 5e-10)
+
+    @pytest.mark.parametrize(
+        "order, step_costs, total_cost, message",
+        [
+            ((0, 0, 1), (0.0, 0.0, 0.0), 0.0, "permutation"),
+            ((0, 1), (0.0,), 0.0, "one step cost"),
+            ((0, 1), (-0.1, 0.0), -0.1, "nonnegative"),
+            ((0, 1), (0.0, 0.1), 0.1, "final"),
+            ((0, 1), (0.5, 0.0), 0.75, "total_cost"),
+        ],
+        ids=["non_permutation", "cost_count", "negative_cost", "nonzero_final", "total"],
+    )
+    def test_rejects_malformed(self, order, step_costs, total_cost, message):
+        with pytest.raises(ValueError, match=message):
+            _result(order, step_costs, total_cost)
+
+
 class TestDeterminism:
     def test_spp_repeatable(self):
         data, _ = _dataset(30, p=4)
@@ -295,28 +325,28 @@ class TestPrior:
         worst = tuple(reversed(truth.true_order))
         prior = expand_prior([worst])
         result = shortest_path_order(data, prior=prior)
-        assert result.order.order == worst
+        assert result.order == worst
         # one allowed candidate per state: exactly p - 1 evaluated edges
         assert result.edges_evaluated == 3
         greedy = direct_lingam_order(data, prior=prior)
-        assert greedy.order.order == worst
+        assert greedy.order == worst
 
     def test_result_respects_partial_prior(self):
         data, _ = _dataset(41, p=5)
-        free = shortest_path_order(data).order.order
+        free = shortest_path_order(data).order
         a, b = free[-1], free[0]  # force a reversal of the free result
         prior = expand_prior([(a, b)])
         constrained = shortest_path_order(data, prior=prior)
-        assert constrained.order.order.index(a) < constrained.order.order.index(b)
+        assert constrained.order.index(a) < constrained.order.index(b)
 
     def test_prior_can_only_raise_the_total(self):
         data, _ = _dataset(42, p=4)
         free = shortest_path_order(data)
-        a, b = free.order.order[-1], free.order.order[0]
+        a, b = free.order[-1], free.order[0]
         constrained = shortest_path_order(
             data, prior=expand_prior([(a, b)])
         )
-        assert constrained.order.total_cost >= free.order.total_cost - 1e-12
+        assert constrained.total_cost >= free.total_cost - 1e-12
 
     def test_prior_index_out_of_range(self):
         data, _ = _dataset(43, p=3)
@@ -368,7 +398,7 @@ class TestSteps:
             result = search(data)
         masks = [call.args[1] for call in costs_at.call_args_list]
         assert masks and min(mask.bit_count() for mask in masks) >= 2
-        assert result.order.step_costs[-1] == 0.0
+        assert result.step_costs[-1] == 0.0
 
 
 _PRIOR_DATA = np.random.default_rng(46).normal(size=(12, 6))
@@ -519,8 +549,8 @@ class TestLattice:
         data, truth = _dataset(62, p=3, n=200, sparsity=0.0)
         config = MeasureConfig(MeasureKind.KNN_MI)
         result = shortest_path_order(data, config)
-        assert sorted(result.order.order) == [0, 1, 2]
-        assert all(c >= 0.0 for c in result.order.step_costs)
+        assert sorted(result.order) == [0, 1, 2]
+        assert all(c >= 0.0 for c in result.step_costs)
 
 
 def _states_with_edges(p):
@@ -600,7 +630,7 @@ class TestFill:
 
     def test_a_stack_of_whole_lattices_fits_one_block(self):
         assert [lattices_per_fill(p, 1000) for p in range(3, 9)] == [
-            87, 32, 13, 5, 2, 1,
+            43, 16, 6, 2, 1, 1,
         ]
         for p in range(3, 9):
             count = lattices_per_fill(p, 1000)

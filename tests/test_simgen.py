@@ -211,7 +211,7 @@ def test_dense_chain_is_recoverable_at_large_n():
     params = GenParams(p=4, n_samples=30_000, sparsity=0.0, seed=13)
     data, truth = generate(params)
     result = direct_lingam_order(data)
-    assert result.order.order == truth.true_order
+    assert result.order == truth.true_order
 
 
 class TestSampleBenchmarkParams:
