@@ -458,6 +458,24 @@ class TestKnnMiExactness:
         for k in range(1, n):
             assert knn_mi(x_block, y, k) == ksg_mi(x_block, y, k), k
 
+    # A block of 1, 3 or 7 rows splits the 40 samples into many blocks and
+    # leaves a ragged last one.
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("kind", ["continuous", "integer", "two_decimals"])
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_matches_brute_force_across_row_blocks(self, monkeypatch, rows, kind, width):
+        n = 40
+        monkeypatch.setattr(measures, "_BLOCK_ELEMENTS", rows * n)
+        x_block, y = _knn_sample(kind, n, width, seed=110 + width)
+        for k in range(1, n):
+            assert knn_mi(x_block, y, k) == ksg_mi(x_block, y, k), k
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_matches_brute_force_at_n_1000(self, width):
+        x_block, y = _knn_sample("two_decimals", 1000, width, seed=120 + width)
+        for k in (1, 32, 999):
+            assert knn_mi(x_block, y, k) == ksg_mi(x_block, y, k), k
+
     def test_coincident_points_give_zero_counts(self):
         # k + 1 coincident points put eps at 0, so the shrunk radius is
         # negative and every count must come out as 0, as by brute force.
@@ -465,6 +483,23 @@ class TestKnnMiExactness:
         y = np.array([1.0] * 4 + [3.0, 0.5, 2.0, 1.5])
         for k in range(1, x.size):
             assert knn_mi(x, y, k) == ksg_mi(x, y, k), k
+
+    def test_coincident_points_in_a_two_column_block(self):
+        x = np.array([[0.0, 2.0]] * 4 + [[1.0, 0.5], [2.5, 3.0], [4.0, 1.0], [4.5, 2.5]])
+        y = np.array([1.0] * 4 + [3.0, 0.5, 2.0, 1.5])
+        for k in range(1, y.size):
+            assert knn_mi(x, y, k) == ksg_mi(x, y, k), k
+
+    def test_peak_memory_does_not_grow_with_n(self):
+        # One N x N matrix of distances would take 200 MB here.
+        x_block, y = _knn_sample("continuous", 5000, 3, seed=130)
+        tracemalloc.start()
+        try:
+            knn_mi(x_block, y, 71)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 @st.composite
