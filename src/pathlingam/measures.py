@@ -16,7 +16,8 @@ many lattice states at once (``state_entropies``, for a per-state entropy
 table read by ``layer_costs``). The kNN estimator counts neighbours along
 one variable by sorting, in a one-column block by a kd-tree and sorting,
 and in a wider block by exact distances over blocks of rows, whose cost
-grows as N^2 (see ``knn_mi``). Only the kNN estimator needs scipy, and it
+grows as N^2 (see ``knn_mi``); there scipy's compiled Chebyshev ``cdist``
+makes the block's x distances. Only the kNN estimator needs scipy, and it
 imports scipy when it first runs, so the likelihood ratio never loads it.
 """
 
@@ -372,14 +373,19 @@ def _block_counts(x_block, y, k):
     """Radii and x counts of ``knn_mi`` for a block of two or more columns.
 
     Exact max-norm distances from a block of rows to all N points fill two
-    rows x N buffers: the x distance, the running maximum of |x_c[i] -
-    x_c[j]| over the columns, and the joint distance, the maximum of that
-    and |y[i] - y[j]|. eps_i is the (k+1)-th smallest joint distance, point
-    i included, as a kd-tree query of k + 1 neighbours returns it. Returns
+    rows x N buffers: the x distance, max_c |x_c[i] - x_c[j]| from scipy's
+    compiled Chebyshev ``cdist``, and the joint distance, the maximum of
+    that and |y[i] - y[j]|. Each |difference| is rounded once and the
+    maximum is exact, so the x distance has the bits of a column-by-column
+    numpy maximum. eps_i is the (k+1)-th smallest joint distance, point i
+    included, as a kd-tree query of k + 1 neighbours returns it. Returns
     eps shrunk by one ulp, and for each i the number of j, i included,
     whose x distance is within it.
     """
-    columns = np.ascontiguousarray(x_block.T)
+    from scipy.spatial.distance import cdist
+
+    # cdist copies a block that is not C-ordered, so copy it once here.
+    x = np.ascontiguousarray(x_block)
     n = y.size
     rows = max(1, _BLOCK_ELEMENTS // n)
     dx = np.empty((rows, n))
@@ -389,10 +395,7 @@ def _block_counts(x_block, y, k):
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         bx, bj = dx[:stop - start], dj[:stop - start]
-        _abs_differences(columns[0], start, stop, bx)
-        for column in columns[1:]:
-            _abs_differences(column, start, stop, bj)
-            np.maximum(bx, bj, out=bx)
+        cdist(x[start:stop], x, metric="chebyshev", out=bx)
         _abs_differences(y, start, stop, bj)
         np.maximum(bx, bj, out=bj)
         bj.partition(k, axis=1)
@@ -410,14 +413,24 @@ def knn_mi(x_block, y, k):
     extension), and n_y those along y. n_y is counted by sorting. A
     one-column block takes eps from a kd-tree and counts n_x by sorting; a
     wider one takes both from exact distances, blocks of rows at a time
-    (``_block_counts``). All give the exact counts, so the estimate equals
-    the brute-force one bit for bit. The blocked pass costs O(N^2) per call
-    against the trees' near O(N log N). On a shared 2-core x86-64 guest, at
-    N = 1000 and k = 32 it took 9.5, 11.7 and 13.1 ms per call at 3, 4 and
-    5 joint dimensions against the trees' 16.2, 21.6 and 27.6 ms. A p = 5
-    kNN search plus exhaustive path distribution was level with the trees at
-    N = 4000 and 1-4% slower at N = 8000. Estimates can be slightly
-    negative.
+    (``_block_counts``), its x distances from scipy's compiled Chebyshev
+    ``cdist``. All give the exact counts, so the estimate equals the
+    brute-force one bit for bit. Estimates can be slightly negative.
+
+    The blocked pass costs O(N^2) per call against a tree's near
+    O(N log N). Process CPU ms per call on a shared 2-core x86-64 guest,
+    random data, k = ceil(sqrt(N)), best of 3-7 runs in one sitting:
+
+        N                               1000   2000   4000   8000
+        1 column, kd-tree plus sort      4.7   11.9   33.4   90.8
+        1 column through the blocks      5.8   22.4   84.1  303.0
+        3 columns, kd-trees             13.0   42.9  117.3  335.6
+        3 columns, blocks, numpy maxima   7.9   30.3  123.0  368.8
+        3 columns, blocks, cdist          5.8   22.4   85.7  278.9
+
+    So one-column blocks stay on the tree, which the blocks never beat and
+    which grows more slowly. Wider blocks go through the blocks at every
+    N: with ``cdist`` they beat the kd-trees up to N = 8000.
     """
     from scipy.special import digamma
 

@@ -450,8 +450,9 @@ def _knn_sample(kind, n, width, seed):
 class TestKnnMiExactness:
     # Ties in the data put points exactly at the k-th neighbour distance,
     # where the strict counts are decided.
+    # spp-knn at p >= 6 scores blocks of up to 6 columns against one.
     @pytest.mark.parametrize("kind", ["continuous", "integer", "two_decimals"])
-    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6])
     def test_matches_brute_force_for_every_k(self, kind, width):
         n = 40
         x_block, y = _knn_sample(kind, n, width, seed=100 + width)
@@ -462,11 +463,24 @@ class TestKnnMiExactness:
     # leaves a ragged last one.
     @pytest.mark.parametrize("rows", [1, 3, 7])
     @pytest.mark.parametrize("kind", ["continuous", "integer", "two_decimals"])
-    @pytest.mark.parametrize("width", [2, 3, 4])
+    @pytest.mark.parametrize("width", [2, 3, 4, 5, 6])
     def test_matches_brute_force_across_row_blocks(self, monkeypatch, rows, kind, width):
         n = 40
         monkeypatch.setattr(measures, "_BLOCK_ELEMENTS", rows * n)
         x_block, y = _knn_sample(kind, n, width, seed=110 + width)
+        for k in range(1, n):
+            assert knn_mi(x_block, y, k) == ksg_mi(x_block, y, k), k
+
+    # knn_step_cost passes the child's columns as residualize returns them,
+    # an F-ordered view.
+    @pytest.mark.parametrize("kind", ["continuous", "two_decimals"])
+    @pytest.mark.parametrize("width", [2, 3, 5])
+    def test_matches_brute_force_on_a_residualized_view(self, kind, width):
+        n = 40
+        x, y = _knn_sample(kind, n, width, seed=140 + width)
+        columns = np.column_stack([x[:, :1], y, x[:, 1:]])
+        x_block = residualize(columns, 1)
+        assert x_block.shape == (n, width) and not x_block.flags.c_contiguous
         for k in range(1, n):
             assert knn_mi(x_block, y, k) == ksg_mi(x_block, y, k), k
 
